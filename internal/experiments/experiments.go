@@ -11,7 +11,8 @@
 // scales with the core count. Classification sweeps additionally run on the
 // batched inference path (internal/replay + pipeline.BatchClassifier):
 // workers execute ReplayBatch frames per interpreter invoke, amortizing
-// per-node dispatch, with telemetry still byte-identical to sequential.
+// per-node dispatch, planned with KernelBackend at every batch size, with
+// telemetry still byte-identical to sequential.
 package experiments
 
 import (
@@ -46,10 +47,10 @@ var ReplayWorkers = 0
 var ReplayBatch = 8
 
 // KernelBackend is the kernel micro-kernel backend accuracy sweeps plan
-// their optimized pipelines with (zero value = ops.BackendBlocked). Accuracy
-// metrics are identical for any bitwise-stable backend and validator-bounded
-// for ops.BackendTiled; AblationKernelBackend measures the difference
-// directly.
+// their optimized pipelines with (zero value = ops.BackendBlocked); the
+// batched replay honours it at every ReplayBatch. Accuracy metrics are
+// identical for any bitwise-stable backend and validator-bounded for
+// ops.BackendTiled; AblationKernelBackend measures the difference directly.
 var KernelBackend ops.Backend
 
 // sweepOptions are the runner options every sweep shares.

@@ -232,13 +232,6 @@ func (bp *Batch) FrameStats() InvokeStats {
 	}
 }
 
-// LastInvokeStats returns the whole-batch totals of the most recent Invoke.
-func (bp *Batch) LastInvokeStats() InvokeStats {
-	st := bp.ip.last
-	st.Modeled = bp.frameModeled * time.Duration(bp.n)
-	return st
-}
-
 // OutputAt returns the live per-element view of output slot i, element e.
 // Clone before mutating or retaining across Invoke calls.
 func (bp *Batch) OutputAt(i, e int) (*tensor.Tensor, error) {

@@ -10,32 +10,29 @@ import (
 	"mlexray/internal/tensor"
 )
 
-// BatchClassifier is the batched-inference variant of Classifier: it runs up
-// to Batch() frames per interpreter invoke through a graph.Rebatch-ed model
-// replica, amortizing per-node dispatch across the batch. Telemetry is
-// emitted per frame in exactly the sequential Classify order — frame
-// advance, sensor reading, preprocessing capture, per-layer events (from
-// sliced batch views), latency metrics, model output — so a replay through
-// BatchClassifier merges byte-identical (modulo wall-clock values) to one
-// through Classifier.
-type BatchClassifier struct {
+// batchCore is the execution half both batched image pipelines share: it
+// runs up to Batch() frames per interpreter invoke through a
+// graph.Rebatch-ed model replica, amortizing per-node dispatch across the
+// batch, and emits telemetry per frame in exactly the sequential pipelines'
+// record order — frame advance, orientation reading, preprocessing capture,
+// per-layer events (from sliced batch views), latency metrics, output slot 0
+// — so a batched replay merges byte-identical (modulo wall-clock values) to
+// a frame-at-a-time one. The interpreter is planned from the same option
+// list as the sequential pipelines', so every Options field (backend
+// included) holds at every batch size.
+type batchCore struct {
 	model   *graph.Model
 	bip     *interp.Batch
 	preproc ImagePreproc
 	opts    Options
-	batch   int
 
 	// ins retains the per-element preprocessed tensors between the compute
 	// pass and the per-frame telemetry emission pass.
-	ins   []*tensor.Tensor
-	preds []int
+	ins []*tensor.Tensor
 }
 
-// NewBatchClassifier builds a batch-capacity classification pipeline for the
-// model. Preprocessing, bug injection and monitor semantics match
-// NewClassifier frame for frame.
-func NewBatchClassifier(m *graph.Model, batch int, opts Options) (*BatchClassifier, error) {
-	if m.Meta.Task != "classification" {
+func newBatchCore(m *graph.Model, task string, batch int, opts Options) (*batchCore, error) {
+	if m.Meta.Task != task {
 		return nil, fmt.Errorf("pipeline: model %q is a %s model", m.Name, m.Meta.Task)
 	}
 	if batch < 1 {
@@ -45,78 +42,60 @@ func NewBatchClassifier(m *graph.Model, batch int, opts Options) (*BatchClassifi
 	if err != nil {
 		return nil, err
 	}
-	c := &BatchClassifier{
-		model:   m,
-		preproc: pp.WithBug(opts.Bug),
-		opts:    opts,
-		batch:   batch,
-		ins:     make([]*tensor.Tensor, batch),
-		preds:   make([]int, batch),
-	}
-	var iopts []interp.Option
-	if opts.Monitor != nil {
-		iopts = append(iopts, interp.WithHook(opts.Monitor.LayerHook()))
-	}
-	if opts.Device != nil {
-		iopts = append(iopts, interp.WithLatencyModel(opts.Device))
-	}
-	c.bip, err = interp.NewBatch(m, batch, opts.resolver(), iopts...)
+	bip, err := interp.NewBatch(m, batch, opts.resolver(), opts.interpOptions()...)
 	if err != nil {
 		return nil, err
 	}
-	return c, nil
+	return &batchCore{
+		model:   m,
+		bip:     bip,
+		preproc: pp.WithBug(opts.Bug),
+		opts:    opts,
+		ins:     make([]*tensor.Tensor, batch),
+	}, nil
 }
 
 // Batch returns the pipeline's batch capacity.
-func (c *BatchClassifier) Batch() int { return c.batch }
+func (c *batchCore) Batch() int { return c.bip.Batch() }
 
 // Interpreter exposes the underlying batched interpreter (for memory
 // accounting and per-frame stats).
-func (c *BatchClassifier) Interpreter() *interp.Batch { return c.bip }
+func (c *batchCore) Interpreter() *interp.Batch { return c.bip }
 
 // Preproc returns the active preprocessing configuration.
-func (c *BatchClassifier) Preproc() ImagePreproc { return c.preproc }
+func (c *batchCore) Preproc() ImagePreproc { return c.preproc }
 
-// Clone builds an independent replica of the pipeline — same model, batch,
-// bug and device, but its own interpreter arena and the given monitor — so
-// replicas can run frame batches concurrently.
-func (c *BatchClassifier) Clone(mon *core.Monitor) (*BatchClassifier, error) {
-	opts := c.opts
-	opts.Monitor = mon
-	return NewBatchClassifier(c.model, c.batch, opts)
-}
-
-// ClassifyBatch runs 1..Batch() frames through one batched invoke and
-// returns the predicted class per frame. The returned slice is reused by the
-// next call. A short final batch pads the unused interpreter slots with the
-// last frame (the padded lanes compute but emit no telemetry).
-func (c *BatchClassifier) ClassifyBatch(ims []*imaging.Image) ([]int, error) {
+// run preprocesses 1..Batch() frames into the interpreter lanes and invokes
+// once. A short final batch pads the unused lanes with the last frame (the
+// padded lanes compute but emit no telemetry). Then, frame by frame in
+// order, it emits the frame's telemetry and hands the frame's output slot 0
+// — a live view, valid until the next invoke — to visit.
+func (c *batchCore) run(ims []*imaging.Image, visit func(e int, out *tensor.Tensor) error) error {
 	k := len(ims)
-	if k == 0 || k > c.batch {
-		return nil, fmt.Errorf("pipeline: %d frames for batch %d", k, c.batch)
+	if k == 0 || k > c.Batch() {
+		return fmt.Errorf("pipeline: %d frames for batch %d", k, c.Batch())
 	}
 	for e, im := range ims {
 		c.ins[e] = PreprocessImage(im, c.model.Meta, c.preproc)
 		if err := c.bip.SetInputElem(0, e, c.ins[e]); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	for e := k; e < c.batch; e++ { // pad the tail so every lane holds valid data
+	for e := k; e < c.Batch(); e++ { // pad the tail so every lane holds valid data
 		if err := c.bip.SetInputElem(0, e, c.ins[k-1]); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if err := c.bip.Invoke(); err != nil {
-		return nil, err
+		return err
 	}
 	mon := c.opts.Monitor
 	for e := 0; e < k; e++ {
 		out, err := c.bip.OutputAt(0, e)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if mon != nil {
-			// Mirror the sequential Classify record order exactly.
 			mon.NextFrame()
 			if c.opts.Orientation != nil {
 				mon.LogSensor(core.KeySensorOrientation, c.opts.Orientation.Read(), "deg")
@@ -125,130 +104,88 @@ func (c *BatchClassifier) ClassifyBatch(ims []*imaging.Image) ([]int, error) {
 			c.bip.EmitFrame(e)
 			mon.OnBatchFrame(c.bip.FrameStats(), out)
 		}
-		c.preds[e] = out.ArgMax()
+		if err := visit(e, out); err != nil {
+			return err
+		}
 	}
-	return c.preds[:k], nil
+	return nil
 }
 
-// BatchDetector is the batched-inference variant of Detector: up to Batch()
-// frames per interpreter invoke through a graph.Rebatch-ed replica of the
-// SSD-style model, with the two-output head (class scores, box offsets)
-// decoded per element through interp.Batch.OutputAt. Telemetry comes out in
-// exactly the sequential Detect record order — frame advance, preprocessing
-// capture, per-layer events from sliced batch views, latency metrics, the
-// score output — so batched detection replays merge byte-identical (modulo
-// wall-clock values) to frame-at-a-time ones.
-type BatchDetector struct {
-	model   *graph.Model
-	bip     *interp.Batch
-	preproc ImagePreproc
-	opts    Options
-	batch   int
+// BatchClassifier is the batched-inference variant of Classifier: up to
+// Batch() frames per interpreter invoke, with telemetry identical to
+// Classify's frame for frame. Batch 1 is the degenerate case.
+type BatchClassifier struct {
+	*batchCore
+	preds []int
+}
 
-	ins    []*tensor.Tensor
+// NewBatchClassifier builds a batch-capacity classification pipeline for the
+// model. Preprocessing, bug injection, monitor, device and backend semantics
+// match NewClassifier frame for frame.
+func NewBatchClassifier(m *graph.Model, batch int, opts Options) (*BatchClassifier, error) {
+	c, err := newBatchCore(m, "classification", batch, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &BatchClassifier{batchCore: c, preds: make([]int, batch)}, nil
+}
+
+// ClassifyBatch runs 1..Batch() frames through one batched invoke and
+// returns the predicted class per frame. The returned slice is reused by the
+// next call.
+func (c *BatchClassifier) ClassifyBatch(ims []*imaging.Image) ([]int, error) {
+	err := c.run(ims, func(e int, out *tensor.Tensor) error {
+		c.preds[e] = out.ArgMax()
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return c.preds[:len(ims)], nil
+}
+
+// BatchDetector is the batched-inference variant of Detector for SSD-style
+// models: up to Batch() frames per interpreter invoke, with the two-output
+// head (class scores, box offsets) decoded per element through
+// interp.Batch.OutputAt and telemetry identical to Detect's frame for frame
+// (its latency record logs output slot 0, the scores).
+type BatchDetector struct {
+	*batchCore
 	scores []*tensor.Tensor
 	boxes  []*tensor.Tensor
 }
 
 // NewBatchDetector builds a batch-capacity detection pipeline for the model.
-// Preprocessing, bug injection and monitor semantics match NewDetector frame
-// for frame.
+// Preprocessing, bug injection, monitor, device and backend semantics match
+// NewDetector frame for frame.
 func NewBatchDetector(m *graph.Model, batch int, opts Options) (*BatchDetector, error) {
-	if m.Meta.Task != "detection" {
-		return nil, fmt.Errorf("pipeline: model %q is a %s model", m.Name, m.Meta.Task)
-	}
-	if batch < 1 {
-		return nil, fmt.Errorf("pipeline: batch size %d", batch)
-	}
-	pp, err := CorrectImagePreproc(m.Meta)
+	opts.Orientation = nil // Detect logs no orientation reading
+	d, err := newBatchCore(m, "detection", batch, opts)
 	if err != nil {
 		return nil, err
 	}
-	d := &BatchDetector{
-		model:   m,
-		preproc: pp.WithBug(opts.Bug),
-		opts:    opts,
-		batch:   batch,
-		ins:     make([]*tensor.Tensor, batch),
-		scores:  make([]*tensor.Tensor, batch),
-		boxes:   make([]*tensor.Tensor, batch),
-	}
-	var iopts []interp.Option
-	if opts.Monitor != nil {
-		iopts = append(iopts, interp.WithHook(opts.Monitor.LayerHook()))
-	}
-	if opts.Device != nil {
-		iopts = append(iopts, interp.WithLatencyModel(opts.Device))
-	}
-	d.bip, err = interp.NewBatch(m, batch, opts.resolver(), iopts...)
-	if err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// Batch returns the pipeline's batch capacity.
-func (d *BatchDetector) Batch() int { return d.batch }
-
-// Interpreter exposes the underlying batched interpreter.
-func (d *BatchDetector) Interpreter() *interp.Batch { return d.bip }
-
-// Preproc returns the active preprocessing configuration.
-func (d *BatchDetector) Preproc() ImagePreproc { return d.preproc }
-
-// Clone builds an independent replica of the pipeline with its own
-// interpreter arena and the given monitor (see BatchClassifier.Clone).
-func (d *BatchDetector) Clone(mon *core.Monitor) (*BatchDetector, error) {
-	opts := d.opts
-	opts.Monitor = mon
-	return NewBatchDetector(d.model, d.batch, opts)
+	return &BatchDetector{
+		batchCore: d,
+		scores:    make([]*tensor.Tensor, batch),
+		boxes:     make([]*tensor.Tensor, batch),
+	}, nil
 }
 
 // DetectBatch runs 1..Batch() frames through one batched invoke and returns
-// each frame's raw class scores [A, C] and box offsets [A, 4], decoded per
-// element from the two output slots. The returned slices are reused by the
-// next call; the tensors are clones, safe to retain. A short final batch
-// pads the unused interpreter lanes with the last frame (padded lanes
-// compute but emit no telemetry).
+// each frame's raw class scores [A, C] and box offsets [A, 4]. The returned
+// slices are reused by the next call; the tensors are clones, safe to
+// retain.
 func (d *BatchDetector) DetectBatch(ims []*imaging.Image) (scores, boxes []*tensor.Tensor, err error) {
-	k := len(ims)
-	if k == 0 || k > d.batch {
-		return nil, nil, fmt.Errorf("pipeline: %d frames for batch %d", k, d.batch)
-	}
-	for e, im := range ims {
-		d.ins[e] = PreprocessImage(im, d.model.Meta, d.preproc)
-		if err := d.bip.SetInputElem(0, e, d.ins[e]); err != nil {
-			return nil, nil, err
-		}
-	}
-	for e := k; e < d.batch; e++ { // pad the tail so every lane holds valid data
-		if err := d.bip.SetInputElem(0, e, d.ins[k-1]); err != nil {
-			return nil, nil, err
-		}
-	}
-	if err := d.bip.Invoke(); err != nil {
-		return nil, nil, err
-	}
-	mon := d.opts.Monitor
-	for e := 0; e < k; e++ {
-		s, err := d.bip.OutputAt(0, e)
-		if err != nil {
-			return nil, nil, err
-		}
+	err = d.run(ims, func(e int, s *tensor.Tensor) error {
 		b, err := d.bip.OutputAt(1, e)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		if mon != nil {
-			// Mirror the sequential Detect record order exactly (its
-			// OnInferenceStop logs output slot 0 — the scores).
-			mon.NextFrame()
-			mon.LogTensor(core.KeyPreprocessOutput, d.ins[e])
-			d.bip.EmitFrame(e)
-			mon.OnBatchFrame(d.bip.FrameStats(), s)
-		}
-		d.scores[e] = s.Clone()
-		d.boxes[e] = b.Clone()
+		d.scores[e], d.boxes[e] = s.Clone(), b.Clone()
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	return d.scores[:k], d.boxes[:k], nil
+	return d.scores[:len(ims)], d.boxes[:len(ims)], nil
 }

@@ -41,6 +41,21 @@ func (o *Options) resolver() *ops.Resolver {
 	return ops.NewOptimized(ops.Historical())
 }
 
+// interpOptions turns the pipeline options into interpreter options: the
+// monitor's layer hook, the device latency model and the kernel backend.
+// Every pipeline, sequential or batched, plans its interpreter from this one
+// list, so no option can reach one execution path and miss the other.
+func (o *Options) interpOptions() []interp.Option {
+	iopts := []interp.Option{interp.WithBackend(o.Backend)}
+	if o.Monitor != nil {
+		iopts = append(iopts, interp.WithHook(o.Monitor.LayerHook()))
+	}
+	if o.Device != nil {
+		iopts = append(iopts, interp.WithLatencyModel(o.Device))
+	}
+	return iopts
+}
+
 // Classifier is an instrumented image-classification pipeline.
 type Classifier struct {
 	model   *graph.Model
@@ -69,15 +84,7 @@ func NewClassifier(m *graph.Model, opts Options) (*Classifier, error) {
 }
 
 func newInterp(m *graph.Model, opts *Options) (*interp.Interpreter, error) {
-	var iopts []interp.Option
-	if opts.Monitor != nil {
-		iopts = append(iopts, interp.WithHook(opts.Monitor.LayerHook()))
-	}
-	if opts.Device != nil {
-		iopts = append(iopts, interp.WithLatencyModel(opts.Device))
-	}
-	iopts = append(iopts, interp.WithBackend(opts.Backend))
-	return interp.New(m, opts.resolver(), iopts...)
+	return interp.New(m, opts.resolver(), opts.interpOptions()...)
 }
 
 // Clone builds an independent replica of the pipeline — same model, bug and

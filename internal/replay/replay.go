@@ -1,7 +1,8 @@
 // Package replay binds the instrumented pipelines to the parallel replay
-// engine: one call replays a dataset through per-worker pipeline replicas —
-// frame-at-a-time or batched — and returns the deterministically merged
-// telemetry log. The experiment sweeps and the CLIs (edgerun, refrun, exray)
+// engine: one call replays a dataset through per-worker batched pipeline
+// replicas — B = max(1, BatchFrames) frames per interpreter invoke, with the
+// requested kernel backend at every B — and returns the deterministically
+// merged telemetry log. The experiment sweeps and the CLIs (edgerun, refrun, exray)
 // all drive dataset replays through this package, so batching and worker
 // policy live in exactly one place.
 package replay
@@ -56,14 +57,13 @@ type ClassifyResult struct {
 	Modeled time.Duration
 }
 
-// Classification replays images through classifier replicas on the parallel
-// replay engine and returns the merged telemetry log.
+// Classification replays images through batched classifier replicas on
+// the parallel replay engine and returns the merged telemetry log. Each
+// worker owns a pipeline.BatchClassifier of B = max(1, ropts.BatchFrames)
+// lanes and runs every dispatched frame range through one batched invoke;
+// the merged log is byte-identical to a sequential Classifier replay
+// (modulo wall-clock latency values) at every B.
 //
-//   - ropts.BatchFrames > 1 selects the batched inference path: each worker
-//     owns a pipeline.BatchClassifier replica and runs whole frame ranges
-//     through single batched invokes. Otherwise workers run frame-at-a-time
-//     Classifier replicas. Merged telemetry is byte-identical either way
-//     (modulo wall-clock latency values).
 //   - ropts.MonitorOptions nil replays uninstrumented (accuracy-eval mode):
 //     replicas carry no monitor, so the hot path pays no telemetry cost and
 //     the returned log is empty. Any non-nil MonitorOptions (even empty)
@@ -75,65 +75,43 @@ type ClassifyResult struct {
 // popts.Monitor is ignored — replicas always use their shard monitor.
 func Classification(m *graph.Model, popts pipeline.Options, images []*imaging.Image,
 	ropts runner.Options, onFrame func(frame int, r ClassifyResult) error) (*core.Log, error) {
-	popts.Monitor = nil
 	instrumented := ropts.MonitorOptions != nil
+	return runner.ReplayBatched(len(images), func(mon *core.Monitor) (runner.ProcessBatchFunc, error) {
+		return classifyWorker(m, workerOptions(popts, instrumented, mon), ropts.BatchFrames, images, onFrame)
+	}, ropts)
+}
 
-	if ropts.BatchFrames > 1 {
-		base, err := pipeline.NewBatchClassifier(m, ropts.BatchFrames, popts)
-		if err != nil {
-			return nil, err
-		}
-		return runner.ReplayBatched(len(images), func(mon *core.Monitor) (runner.ProcessBatchFunc, error) {
-			var pmon *core.Monitor
-			if instrumented {
-				pmon = mon
-			}
-			bc, err := base.Clone(pmon)
-			if err != nil {
-				return nil, err
-			}
-			return func(start, end int) error {
-				preds, err := bc.ClassifyBatch(images[start:end])
-				if err != nil {
-					return err
-				}
-				if onFrame != nil {
-					modeled := bc.Interpreter().FrameStats().Modeled
-					for j, p := range preds {
-						if err := onFrame(start+j, ClassifyResult{Pred: p, Modeled: modeled}); err != nil {
-							return err
-						}
-					}
-				}
-				return nil
-			}, nil
-		}, ropts)
+// workerOptions gives one worker's pipeline its monitor shard, or no
+// monitor at all when the replay is uninstrumented.
+func workerOptions(o pipeline.Options, instrumented bool, mon *core.Monitor) pipeline.Options {
+	o.Monitor = nil
+	if instrumented {
+		o.Monitor = mon
 	}
+	return o
+}
 
-	base, err := pipeline.NewClassifier(m, popts)
+// classifyWorker builds one worker's BatchClassifier of B = max(1, batch)
+// lanes and returns the range function that runs it.
+func classifyWorker(m *graph.Model, o pipeline.Options, batch int, images []*imaging.Image,
+	onFrame func(frame int, r ClassifyResult) error) (runner.ProcessBatchFunc, error) {
+	bc, err := pipeline.NewBatchClassifier(m, max(1, batch), o)
 	if err != nil {
 		return nil, err
 	}
-	return runner.Replay(len(images), func(mon *core.Monitor) (runner.ProcessFunc, error) {
-		var pmon *core.Monitor
-		if instrumented {
-			pmon = mon
+	return func(start, end int) error {
+		preds, err := bc.ClassifyBatch(images[start:end])
+		if err != nil || onFrame == nil {
+			return err
 		}
-		cl, err := base.Clone(pmon)
-		if err != nil {
-			return nil, err
-		}
-		return func(i int) error {
-			pred, _, err := cl.Classify(images[i])
-			if err != nil {
+		modeled := bc.Interpreter().FrameStats().Modeled
+		for j, p := range preds {
+			if err := onFrame(start+j, ClassifyResult{Pred: p, Modeled: modeled}); err != nil {
 				return err
 			}
-			if onFrame != nil {
-				return onFrame(i, ClassifyResult{Pred: pred, Modeled: cl.Interpreter().LastInvokeStats().Modeled})
-			}
-			return nil
-		}, nil
-	}, ropts)
+		}
+		return nil
+	}, nil
 }
 
 // DetectResult is the per-frame outcome a detection replay reports to its
@@ -144,121 +122,66 @@ type DetectResult struct {
 	Boxes  *tensor.Tensor
 }
 
-// Detection replays images through detector replicas on the parallel replay
-// engine and returns the merged telemetry log. Like Classification,
-// ropts.BatchFrames > 1 selects the batched inference path — each worker
-// owns a pipeline.BatchDetector replica and decodes the two-output head per
+// Detection replays images through batched detector replicas on the
+// parallel replay engine and returns the merged telemetry log. Like
+// Classification, each worker owns a pipeline.BatchDetector of
+// B = max(1, ropts.BatchFrames) lanes — the two-output head decoded per
 // element through interp.Batch.OutputAt — and nil MonitorOptions replays
 // uninstrumented. onFrame runs on worker goroutines; implementations must
 // only write frame-indexed slots or otherwise synchronise.
 func Detection(m *graph.Model, popts pipeline.Options, images []*imaging.Image,
 	ropts runner.Options, onFrame func(frame int, r DetectResult) error) (*core.Log, error) {
-	popts.Monitor = nil
 	instrumented := ropts.MonitorOptions != nil
+	return runner.ReplayBatched(len(images), func(mon *core.Monitor) (runner.ProcessBatchFunc, error) {
+		return detectWorker(m, workerOptions(popts, instrumented, mon), ropts.BatchFrames, images, onFrame)
+	}, ropts)
+}
 
-	if ropts.BatchFrames > 1 {
-		// Pipelines construct directly inside the worker factory (no Clone
-		// template): factory errors still surface before any goroutine
-		// starts, and no throwaway interpreter arena is allocated.
-		return runner.ReplayBatched(len(images), func(mon *core.Monitor) (runner.ProcessBatchFunc, error) {
-			o := popts
-			if instrumented {
-				o.Monitor = mon
-			}
-			bd, err := pipeline.NewBatchDetector(m, ropts.BatchFrames, o)
-			if err != nil {
-				return nil, err
-			}
-			return func(start, end int) error {
-				scores, boxes, err := bd.DetectBatch(images[start:end])
-				if err != nil {
-					return err
-				}
-				if onFrame != nil {
-					for j := range scores {
-						if err := onFrame(start+j, DetectResult{Scores: scores[j], Boxes: boxes[j]}); err != nil {
-							return err
-						}
-					}
-				}
-				return nil
-			}, nil
-		}, ropts)
+// detectWorker builds one worker's BatchDetector of B = max(1, batch) lanes
+// and returns the range function that runs it.
+func detectWorker(m *graph.Model, o pipeline.Options, batch int, images []*imaging.Image,
+	onFrame func(frame int, r DetectResult) error) (runner.ProcessBatchFunc, error) {
+	bd, err := pipeline.NewBatchDetector(m, max(1, batch), o)
+	if err != nil {
+		return nil, err
 	}
-
-	return runner.Replay(len(images), func(mon *core.Monitor) (runner.ProcessFunc, error) {
-		o := popts
-		if instrumented {
-			o.Monitor = mon
+	return func(start, end int) error {
+		scores, boxes, err := bd.DetectBatch(images[start:end])
+		if err != nil || onFrame == nil {
+			return err
 		}
-		det, err := pipeline.NewDetector(m, o)
-		if err != nil {
-			return nil, err
-		}
-		return func(i int) error {
-			scores, boxes, err := det.Detect(images[i])
-			if err != nil {
+		for j := range scores {
+			if err := onFrame(start+j, DetectResult{Scores: scores[j], Boxes: boxes[j]}); err != nil {
 				return err
 			}
-			if onFrame != nil {
-				return onFrame(i, DetectResult{Scores: scores, Boxes: boxes})
-			}
-			return nil
-		}, nil
-	}, ropts)
+		}
+		return nil
+	}, nil
 }
 
 // FleetDetection replays images across a heterogeneous simulated device
 // fleet through detector replicas — the detection binding of the
 // task-agnostic fleet scheduler, mirroring FleetClassification: the shard
 // policy splits the frame range, each device's workers run its shard through
-// pipeline.BatchDetector (spec.BatchFrames > 1) or pipeline.Detector
-// replicas carrying the device's latency profile, and per-device shard logs
-// land in FleetResult.DeviceLogs and the per-device sinks. perDevice
-// customizes one device's pipeline options (the device-local bug hook); nil
-// fleet MonitorOptions replays uninstrumented; popts.Monitor is ignored.
+// pipeline.BatchDetector replicas of B = max(1, spec.BatchFrames) lanes
+// carrying the device's latency profile, and per-device shard logs land in
+// FleetResult.DeviceLogs and the per-device sinks. perDevice customizes one
+// device's pipeline options (the device-local bug hook); nil fleet
+// MonitorOptions replays uninstrumented; popts.Monitor is ignored.
 func FleetDetection(m *graph.Model, popts pipeline.Options, images []*imaging.Image,
 	fleet *runner.Fleet, perDevice func(dev int, spec runner.DeviceSpec, o *pipeline.Options)) (*runner.FleetResult, error) {
-	instrumented := fleet.MonitorOptions != nil
 	return fleet.ReplayBatched(len(images), func(dev int, spec runner.DeviceSpec, mon *core.Monitor) (runner.ProcessBatchFunc, error) {
-		o := popts
-		o.Device = spec.Profile
-		if perDevice != nil {
-			perDevice(dev, spec, &o)
-		}
-		o.Monitor = nil
-		if instrumented {
-			o.Monitor = mon
-		}
-		if spec.BatchFrames > 1 {
-			bd, err := pipeline.NewBatchDetector(m, spec.BatchFrames, o)
-			if err != nil {
-				return nil, err
-			}
-			return func(start, end int) error {
-				_, _, err := bd.DetectBatch(images[start:end])
-				return err
-			}, nil
-		}
-		det, err := pipeline.NewDetector(m, o)
-		if err != nil {
-			return nil, err
-		}
-		return runner.PerFrame(mon, func(i int) error {
-			_, _, err := det.Detect(images[i])
-			return err
-		}), nil
+		return detectWorker(m, deviceOptions(popts, fleet, dev, spec, mon, perDevice), spec.BatchFrames, images, nil)
 	})
 }
 
 // FleetClassification replays images across a heterogeneous simulated
 // device fleet: the fleet's shard policy splits the frame range across its
-// DeviceSpecs, and every device runs its shard through classifier replicas
-// carrying that device's latency profile — batched (pipeline.
-// BatchClassifier) when the spec's BatchFrames > 1, frame at a time
-// otherwise. Per-device shard logs land in FleetResult.DeviceLogs (and the
-// per-device sinks); the merged log keeps the sequential-order determinism
-// contract of Classification.
+// DeviceSpecs, and every device runs its shard through pipeline.
+// BatchClassifier replicas of B = max(1, spec.BatchFrames) lanes carrying
+// that device's latency profile. Per-device shard logs land in
+// FleetResult.DeviceLogs (and the per-device sinks); the merged log keeps
+// the sequential-order determinism contract of Classification.
 //
 // perDevice, when non-nil, customizes one device's pipeline options after
 // the device profile is attached — the hook for injecting a device-local
@@ -266,34 +189,19 @@ func FleetDetection(m *graph.Model, popts pipeline.Options, images []*imaging.Im
 // MonitorOptions nil replays uninstrumented, and popts.Monitor is ignored.
 func FleetClassification(m *graph.Model, popts pipeline.Options, images []*imaging.Image,
 	fleet *runner.Fleet, perDevice func(dev int, spec runner.DeviceSpec, o *pipeline.Options)) (*runner.FleetResult, error) {
-	instrumented := fleet.MonitorOptions != nil
 	return fleet.ReplayBatched(len(images), func(dev int, spec runner.DeviceSpec, mon *core.Monitor) (runner.ProcessBatchFunc, error) {
-		o := popts
-		o.Device = spec.Profile
-		if perDevice != nil {
-			perDevice(dev, spec, &o)
-		}
-		o.Monitor = nil
-		if instrumented {
-			o.Monitor = mon
-		}
-		if spec.BatchFrames > 1 {
-			bc, err := pipeline.NewBatchClassifier(m, spec.BatchFrames, o)
-			if err != nil {
-				return nil, err
-			}
-			return func(start, end int) error {
-				_, err := bc.ClassifyBatch(images[start:end])
-				return err
-			}, nil
-		}
-		cl, err := pipeline.NewClassifier(m, o)
-		if err != nil {
-			return nil, err
-		}
-		return runner.PerFrame(mon, func(i int) error {
-			_, _, err := cl.Classify(images[i])
-			return err
-		}), nil
+		return classifyWorker(m, deviceOptions(popts, fleet, dev, spec, mon, perDevice), spec.BatchFrames, images, nil)
 	})
+}
+
+// deviceOptions derives one fleet device worker's pipeline options: the
+// device's latency profile, then the perDevice customization, then the
+// worker's monitor shard.
+func deviceOptions(popts pipeline.Options, fleet *runner.Fleet, dev int, spec runner.DeviceSpec, mon *core.Monitor,
+	perDevice func(dev int, spec runner.DeviceSpec, o *pipeline.Options)) pipeline.Options {
+	popts.Device = spec.Profile
+	if perDevice != nil {
+		perDevice(dev, spec, &popts)
+	}
+	return workerOptions(popts, fleet.MonitorOptions != nil, mon)
 }

@@ -139,6 +139,81 @@ func TestBatchedReplayQuantizedMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestBatchedReplayHonoursKernelBackend pins Options.Backend through every
+// replay batch size: float and int8 classification plus detection, planned
+// on the tiled backend with a device latency model, must log byte-identical
+// to the sequential tiled pipeline at B = 1 and B = 8. Modeled latencies are
+// not normalized away — the device model charges each backend its own
+// per-MAC cost, so a batched path that fell back to another backend shows
+// up there even where outputs agree.
+func TestBatchedReplayHonoursKernelBackend(t *testing.T) {
+	tiled := pipeline.Options{Resolver: ops.NewOptimized(ops.Fixed()), Backend: ops.BackendTiled, Device: device.Pixel4()}
+	seqOpts := func(mon *core.Monitor) pipeline.Options {
+		o := tiled
+		o.Monitor = mon
+		return o
+	}
+	check := func(name string, seq *core.Log, replay func(ropts runner.Options) (*core.Log, error)) {
+		t.Helper()
+		normalizeWallClock(seq)
+		want := logBytes(t, seq)
+		if len(want) == 0 {
+			t.Fatalf("%s: sequential log empty", name)
+		}
+		for _, batch := range []int{1, 8} {
+			l, err := replay(runner.Options{Workers: 2, BatchFrames: batch, MonitorOptions: monOpts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			normalizeWallClock(l)
+			if got := logBytes(t, l); !bytes.Equal(got, want) {
+				t.Errorf("%s batch=%d: tiled replay log differs from the sequential tiled pipeline", name, batch)
+			}
+		}
+	}
+
+	images := testImages(t, testFrames)
+	for name, quant := range map[string]bool{"float": false, "int8": true} {
+		m := testModel(t, quant)
+		mon := core.NewMonitor(monOpts...)
+		cl, err := pipeline.NewClassifier(m, seqOpts(mon))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, im := range images {
+			if _, _, err := cl.Classify(im); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(name, mon.Log(), func(ropts runner.Options) (*core.Log, error) {
+			return Classification(m, tiled, images, ropts, nil)
+		})
+	}
+
+	entry, err := zoo.Get("ssd-mini")
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := datasets.SynthCOCO(6666, testFrames)
+	coco := make([]*imaging.Image, len(samples))
+	for i := range samples {
+		coco[i] = samples[i].Image
+	}
+	mon := core.NewMonitor(monOpts...)
+	det, err := pipeline.NewDetector(entry.Mobile, seqOpts(mon))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, im := range coco {
+		if _, _, err := det.Detect(im); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("detection", mon.Log(), func(ropts runner.Options) (*core.Log, error) {
+		return Detection(entry.Mobile, tiled, coco, ropts, nil)
+	})
+}
+
 // TestBatchedReplayModeledLatencyIdentical repeats the determinism check
 // with a device latency model attached. Modeled per-layer and per-frame
 // latencies are NOT normalized away — the batched engine must project

@@ -21,12 +21,14 @@
 //     worker a contiguous [start,end) frame range instead of single frames,
 //     amortizing the channel round-trip, shard positioning and drain across
 //     the range.
-//   - Execution batching (ReplayBatched + a batch-aware worker, e.g.
-//     pipeline.BatchClassifier): the worker runs the whole range through one
-//     batched interpreter invoke, amortizing per-node dispatch across B
-//     frames. Per-frame record groups still come out identical to a
-//     sequential run — the batched interpreter replays per-frame hook events
-//     from sliced output views.
+//   - Execution batching (ReplayBatched + a batch-aware worker): the worker
+//     runs the whole range through one batched interpreter invoke,
+//     amortizing per-node dispatch across B frames. internal/replay runs
+//     every dataset replay this way, on pipeline.BatchClassifier /
+//     BatchDetector replicas of B = max(1, BatchFrames) lanes planned with
+//     the requested kernel backend. Per-frame record groups still come out
+//     identical to a sequential run — the batched interpreter replays
+//     per-frame hook events from sliced output views.
 //
 // Workers drain their monitor shard after every range, so shard buffers stay
 // one range deep; with a FrameSink attached (and KeepLog false) the collector
@@ -198,9 +200,8 @@ func Replay(frames int, factory WorkerFactory, opts Options) (*core.Log, error) 
 // PerFrame adapts a per-frame body to the ProcessBatchFunc range contract:
 // each frame is re-positioned individually, because a ProcessFunc only
 // advances the counter once and the range contract wants exact tags even if
-// a frame logs nothing. Replay applies it internally; frame-at-a-time
-// workers inside batch-oriented factories (fleet devices without a batched
-// pipeline) use it directly.
+// a frame logs nothing. Replay and Fleet.Replay apply it internally; a
+// per-frame worker inside a batch-oriented factory may use it directly.
 func PerFrame(mon *core.Monitor, process ProcessFunc) ProcessBatchFunc {
 	return func(start, end int) error {
 		for g := start; g < end; g++ {
