@@ -211,6 +211,46 @@ func TestCompareLayersFindsSpike(t *testing.T) {
 	if len(suspects) != 2 {
 		t.Errorf("suspects = %d", len(suspects))
 	}
+
+	// Edge frames past the reference's last frame are ignored: every layer
+	// averages over the 3 shared frames only, however far the extra frames
+	// drift.
+	longer := buildLayerLog(5, layers, opTypes, func(f, l, i int) float32 {
+		v := float32(f + l + i)
+		if f >= 3 {
+			v += 1000
+		}
+		return v
+	})
+	diffs, err = CompareLayers(longer, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diffs {
+		if d.Frames != 3 || d.NRMSE != 0 || d.MaxAbs != 0 {
+			t.Errorf("extra edge frames leaked into %+v", d)
+		}
+	}
+
+	// Error paths, with their exact texts.
+	truncated := buildLayerLog(3, layers, opTypes, func(f, l, i int) float32 { return float32(f + l + i) })
+	truncated.Records[0].Payload = truncated.Records[0].Payload[:1]
+	for _, c := range []struct {
+		name      string
+		edge, ref *Log
+		want      string
+	}{
+		{"empty edge", &Log{}, ref, "core: no frames to compare"},
+		{"no shared layers",
+			buildLayerLog(3, []string{"other"}, []string{"Conv2D"}, func(f, l, i int) float32 { return 1 }),
+			ref, "core: logs share no per-layer tensor records (was per-layer capture enabled?)"},
+		{"truncated payload", truncated, ref,
+			`core: record "layer/conv1/output" has 1 payload bytes for f32[8]`},
+	} {
+		if _, err := CompareLayers(c.edge, c.ref); err == nil || err.Error() != c.want {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
+	}
 }
 
 func TestOutputAgreement(t *testing.T) {
@@ -235,6 +275,21 @@ func TestOutputAgreement(t *testing.T) {
 	ag, err = OutputAgreement(a, b)
 	if err != nil || ag != 0.5 {
 		t.Errorf("agreement after perturbation = %v, %v", ag, err)
+	}
+
+	// Frames without model outputs are an error of their own, checked after
+	// the no-frames one.
+	noOut := &Log{}
+	for _, r := range a.Records {
+		if r.Key != KeyModelOutput {
+			noOut.Records = append(noOut.Records, r)
+		}
+	}
+	if _, err := OutputAgreement(noOut, b); err == nil || err.Error() != "core: logs carry no model outputs" {
+		t.Errorf("no outputs: err = %v", err)
+	}
+	if _, err := OutputAgreement(&Log{}, noOut); err == nil || err.Error() != "core: no frames to compare" {
+		t.Errorf("no frames: err = %v", err)
 	}
 }
 
@@ -270,6 +325,32 @@ func TestLatencyByClassAndStragglers(t *testing.T) {
 	st := Stragglers(l, 8)
 	if len(st) != 1 || st[0] != "slow" {
 		t.Errorf("stragglers = %v", st)
+	}
+
+	// §4.5 against a reference: the edge device is uniformly 2x slower in
+	// modeled latency, except one layer at 88x. Only that layer stands out
+	// once the platform-wide slowdown is normalized away; a layer measured
+	// only in wall-clock ns is not comparable across runs and is ignored.
+	edge, ref := &Log{}, &Log{}
+	for f := 0; f < 2; f++ {
+		for li, name := range []string{"conv1", "dw1", "conv2", "kernel"} {
+			slowdown := 2.0
+			if name == "kernel" {
+				slowdown = 88
+			}
+			base := float64(1000 * (li + 1))
+			ref.Records = append(ref.Records, Record{Frame: f, Key: LayerLatencyKey(name), Kind: KindMetric,
+				LayerIndex: li, LayerName: name, Value: base, Unit: "ns-modeled"})
+			edge.Records = append(edge.Records, Record{Frame: f, Key: LayerLatencyKey(name), Kind: KindMetric,
+				LayerIndex: li, LayerName: name, Value: slowdown * base, Unit: "ns-modeled"})
+		}
+		ref.Records = append(ref.Records, Record{Frame: f, Key: LayerLatencyKey("wall"), Kind: KindMetric,
+			LayerName: "wall", Value: 1000, Unit: "ns"})
+		edge.Records = append(edge.Records, Record{Frame: f, Key: LayerLatencyKey("wall"), Kind: KindMetric,
+			LayerName: "wall", Value: 1e9, Unit: "ns"})
+	}
+	if st := StragglersVsReference(edge, ref, 8); len(st) != 1 || st[0] != "kernel" {
+		t.Errorf("stragglers vs reference = %v", st)
 	}
 }
 
