@@ -13,11 +13,12 @@ import (
 // StreamValidator consumes one telemetry stream record by record — frames
 // arriving from a live device upload, not a log file on disk — and rolls the
 // validation analyses up as it goes, so the final Report is available the
-// moment the stream ends without ever holding the stream in memory. The
-// offline entry points (Validate, FleetValidate) delegate to the same
-// accumulators, which is what pins the streaming and offline reports to each
-// other: they are one code path, not two implementations kept in sync by
-// hand.
+// moment the stream ends without ever holding the stream in memory. Every
+// offline entry point — Validate, FleetValidate, CompareLayers,
+// OutputAgreement, Stragglers and StragglersVsReference — folds its logs
+// through the same accumulators, which is what pins the streaming and offline
+// verdicts to each other: how a log's records reduce to the validator's
+// verdicts is decided here and nowhere else.
 //
 // Memory contract: per-layer telemetry — the megabytes-per-frame part of a
 // full-capture log — is folded into fixed-size per-layer accumulators and
@@ -28,18 +29,18 @@ import (
 // the gigabytes the log itself serializes to.
 
 // refIndex precomputes the reference-side lookups every stream consumer
-// needs: per-(frame, key) layer tensor records, per-frame output argmax, and
-// the per-layer modeled-latency means. One refIndex is shared read-only by
-// all sessions validating against the same reference log.
+// needs: per-(frame, key) layer tensor records (the last record wins a
+// duplicated key), per-frame output argmax, and the per-layer modeled-latency
+// means. One refIndex is shared read-only by all sessions validating against
+// the same reference log.
 type refIndex struct {
 	ref    *Log
 	frames int
 	layer  map[refKey]*Record
 	outArg map[int]int
-	// outErr is the first output-record decode error, in log order —
-	// propagated by the fleet path (outputArgmaxByFrame semantics), skipped
-	// by the per-stream agreement (FirstTensor-per-frame semantics, where a
-	// frame that fails to decode is simply not compared).
+	// outErr is the first output-record decode error, in log order.
+	// NewFleetStreamValidator rejects a reference that has one; agreement
+	// instead skips the frame, which is then simply not compared.
 	outErr error
 	lat    map[string]float64
 }
@@ -78,12 +79,13 @@ func newRefIndex(ref *Log) *refIndex {
 			ri.outArg[r.Frame] = t.ArgMax()
 		}
 	}
-	ri.lat = meanLayerLatencyModeled(ref)
+	var lat stragglerState
+	lat.fold(ref)
+	ri.lat = lat.modeledMeans()
 	return ri
 }
 
-// layerAcc accumulates one layer's drift across frames — the streaming form
-// of CompareLayers' per-key accumulator.
+// layerAcc accumulates one layer's drift across frames.
 type layerAcc struct {
 	diff LayerDiff
 	sumN float64
@@ -92,11 +94,12 @@ type layerAcc struct {
 	n    int
 }
 
-// layerDiffState is the incremental CompareLayers: each consumed edge layer
-// record is matched against the reference index and folded into its layer's
-// accumulator. A record that fails to decode or compare poisons the whole
-// analysis (sticky error), exactly as the offline CompareLayers aborts on
-// the first bad record.
+// layerDiffState is the per-layer drift analysis: each consumed edge layer
+// tensor record is matched by (frame, key) against the reference index and
+// folded into its layer's accumulator. Records without a reference match, or
+// whose element counts differ, are skipped. The first record that fails to
+// decode or compare poisons the whole analysis (sticky error): finalize
+// returns that error and later records are ignored.
 type layerDiffState struct {
 	accs  map[string]*layerAcc
 	order []string
@@ -121,8 +124,6 @@ func (s *layerDiffState) consume(er *Record, ri *refIndex) error {
 		s.err = err
 		return err
 	}
-	et = dequantIfNeeded(et, er)
-	rt = dequantIfNeeded(rt, rr)
 	if et.Len() != rt.Len() {
 		return nil
 	}
@@ -149,6 +150,17 @@ func (s *layerDiffState) consume(er *Record, ri *refIndex) error {
 	}
 	a.n++
 	return nil
+}
+
+// fold consumes every per-layer tensor record of a complete log, in log
+// order; errors stay sticky in the state for finalize to report.
+func (s *layerDiffState) fold(l *Log, ri *refIndex) {
+	for i := range l.Records {
+		r := &l.Records[i]
+		if r.Kind == KindTensor && strings.HasPrefix(r.Key, keyLayerPrefix) {
+			_ = s.consume(r, ri)
+		}
+	}
 }
 
 // finalize builds the per-layer diff table the accumulators hold so far. It
@@ -183,9 +195,8 @@ type outputState struct {
 	arg      map[int]int
 	seen     map[int]bool
 	maxFrame int
-	// argErr is the first output decode error, sticky — the fleet rollup
-	// propagates it (outputArgmaxByFrame), the agreement rollup skips the
-	// frame (FirstTensor error semantics).
+	// argErr is the first output decode error, sticky. The fleet rollup
+	// fails the device with it; agreement skips the frame instead.
 	argErr error
 }
 
@@ -219,22 +230,60 @@ func (s *outputState) consume(r *Record) error {
 // Log.Frames).
 func (s *outputState) frames() int { return s.maxFrame + 1 }
 
+// agreement is the fraction of the frames both the stream and the reference
+// carry (up to the shorter of the two) on which their output argmaxes match.
+// It fails when either side has no frames, and then when no frame has a
+// decoded output on both sides.
+func agreement(out *outputState, ri *refIndex) (float64, error) {
+	frames := out.frames()
+	if ri.frames < frames {
+		frames = ri.frames
+	}
+	if frames == 0 {
+		return 0, fmt.Errorf("core: no frames to compare")
+	}
+	agree, total := 0, 0
+	for f := 0; f < frames; f++ {
+		ea, okE := out.arg[f]
+		ra, okR := ri.outArg[f]
+		if !okE || !okR {
+			continue
+		}
+		total++
+		if ea == ra {
+			agree++
+		}
+	}
+	if total == 0 {
+		return 0, fmt.Errorf("core: logs carry no model outputs")
+	}
+	return float64(agree) / float64(total), nil
+}
+
 // latAcc accumulates one layer's latency records.
 type latAcc struct {
 	sum float64
 	n   int
 }
 
-// stragglerState is the incremental Stragglers analysis: per-layer latency
-// sums in first-seen order.
+// stragglerState is the per-layer latency analysis over layer/*/latency_ns
+// metric records: latency sums per layer in first-seen order, plus separate
+// sums of the "ns-modeled" records, the only ones comparable across runs.
 type stragglerState struct {
-	byLayer map[string]*latAcc
-	order   []string
-	// modeledSum/modeledN mirror meanLayerLatencyModeled for the
-	// vs-reference comparison (only "ns-modeled" records are comparable
-	// across runs).
+	byLayer    map[string]*latAcc
+	order      []string
 	modeledSum map[string]float64
 	modeledN   map[string]int
+}
+
+// fold consumes every per-layer latency record of a complete log.
+func (s *stragglerState) fold(l *Log) {
+	for i := range l.Records {
+		r := &l.Records[i]
+		if r.Kind == KindMetric && strings.HasPrefix(r.Key, keyLayerPrefix) && strings.HasSuffix(r.Key, "/latency_ns") {
+			s.consume(r)
+		}
+	}
 }
 
 func (s *stragglerState) consume(r *Record) {
@@ -257,8 +306,8 @@ func (s *stragglerState) consume(r *Record) {
 	}
 }
 
-// finalize returns the layers whose mean latency exceeds factor times the
-// median — the incremental Stragglers.
+// finalize returns the layers whose mean latency is at least factor times
+// the median layer's, in first-seen order.
 func (s *stragglerState) finalize(factor float64) []string {
 	if len(s.byLayer) == 0 {
 		return nil
@@ -279,18 +328,26 @@ func (s *stragglerState) finalize(factor float64) []string {
 	return out
 }
 
-// vsReference returns the layers whose modeled-latency slowdown vs the
-// reference exceeds factor times the median slowdown — the incremental
-// StragglersVsReference.
-func (s *stragglerState) vsReference(ri *refIndex, factor float64) []string {
+// modeledMeans returns each layer's mean "ns-modeled" latency.
+func (s *stragglerState) modeledMeans() map[string]float64 {
+	out := make(map[string]float64, len(s.modeledSum))
+	for name, sum := range s.modeledSum {
+		out[name] = sum / float64(s.modeledN[name])
+	}
+	return out
+}
+
+// vsReference returns, sorted by name, the layers whose modeled-latency
+// slowdown against refMeans (the reference's modeledMeans) is at least
+// factor times the median slowdown.
+func (s *stragglerState) vsReference(refMeans map[string]float64, factor float64) []string {
 	type ratioEntry struct {
 		name  string
 		ratio float64
 	}
 	var entries []ratioEntry
-	for name, sum := range s.modeledSum {
-		e := sum / float64(s.modeledN[name])
-		if r, ok := ri.lat[name]; ok && r > 0 {
+	for name, e := range s.modeledMeans() {
+		if r, ok := refMeans[name]; ok && r > 0 {
 			entries = append(entries, ratioEntry{name, e / r})
 		}
 	}
@@ -402,8 +459,7 @@ func (v *StreamValidator) Reset() {
 
 // Consume folds one record into the rollups. The returned error reports a
 // malformed record (an undecodable tensor payload); consumption may continue
-// but the analyses the record belonged to are marked poisoned, exactly as
-// the offline validator aborts them.
+// but the analyses the record belonged to are marked poisoned.
 func (v *StreamValidator) Consume(r Record) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -507,29 +563,11 @@ func (v *StreamValidator) Report() (*Report, error) {
 // reportLocked assembles the Report; edge is the log handed to assertions
 // (the full log offline, the retained skeleton when streaming).
 func (v *StreamValidator) reportLocked(edge *Log) (*Report, error) {
-	frames := v.out.frames()
-	if v.ri.frames < frames {
-		frames = v.ri.frames
+	ag, err := agreement(&v.out, v.ri)
+	if err != nil {
+		return nil, err
 	}
-	if frames == 0 {
-		return nil, fmt.Errorf("core: no frames to compare")
-	}
-	agree, total := 0, 0
-	for f := 0; f < frames; f++ {
-		ea, okE := v.out.arg[f]
-		ra, okR := v.ri.outArg[f]
-		if !okE || !okR {
-			continue
-		}
-		total++
-		if ea == ra {
-			agree++
-		}
-	}
-	if total == 0 {
-		return nil, fmt.Errorf("core: logs carry no model outputs")
-	}
-	rep := &Report{OutputAgreement: float64(agree) / float64(total)}
+	rep := &Report{OutputAgreement: ag}
 
 	if rep.OutputAgreement < v.opts.AgreementThreshold {
 		if v.deferLayers {
@@ -537,12 +575,7 @@ func (v *StreamValidator) reportLocked(edge *Log) (*Report, error) {
 			// per-layer analysis is warranted — replay the layer records from
 			// the full log, in log order, exactly as streaming would have.
 			v.deferLayers = false
-			for i := range edge.Records {
-				r := &edge.Records[i]
-				if r.Kind == KindTensor && strings.HasPrefix(r.Key, keyLayerPrefix) {
-					_ = v.layers.consume(r, v.ri)
-				}
-			}
+			v.layers.fold(edge, v.ri)
 		}
 		diffs, err := v.layers.finalize()
 		if err == nil {
@@ -556,7 +589,7 @@ func (v *StreamValidator) reportLocked(edge *Log) (*Report, error) {
 		// explain the drop from boundary records alone.
 	}
 	rep.Stragglers = v.strag.finalize(v.opts.StragglerFactor)
-	for _, s := range v.strag.vsReference(v.ri, v.opts.StragglerFactor) {
+	for _, s := range v.strag.vsReference(v.ri.lat, v.opts.StragglerFactor) {
 		dup := false
 		for _, have := range rep.Stragglers {
 			if have == s {

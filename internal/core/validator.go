@@ -5,8 +5,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-
-	"mlexray/internal/tensor"
 )
 
 // LayerDiff is the per-layer drift between an edge log and a reference log,
@@ -26,102 +24,15 @@ type LayerDiff struct {
 // and computes drift per layer, averaged across the frames present in both.
 // Layers existing in only one log (e.g. Quantize/Dequantize boundary nodes
 // in the quantized graph) are skipped — alignment is by name, exactly how
-// the paper compares model versions that share structure.
+// the paper compares model versions that share structure. The first record
+// that fails to decode or compare aborts the analysis with its error.
 func CompareLayers(edge, ref *Log) ([]LayerDiff, error) {
-	type acc struct {
-		diff LayerDiff
-		sumN float64
-		sumR float64
-		maxA float64
-		n    int
-	}
-	accs := make(map[string]*acc)
-	order := []string{}
-
-	frames := edge.Frames()
-	if rf := ref.Frames(); rf < frames {
-		frames = rf
-	}
-	if frames == 0 {
+	if edge.Frames() == 0 || ref.Frames() == 0 {
 		return nil, fmt.Errorf("core: no frames to compare")
 	}
-	// Index reference tensor records by (frame, key).
-	refIdx := make(map[[2]interface{}]*Record)
-	for i := range ref.Records {
-		r := &ref.Records[i]
-		if r.Kind == KindTensor && strings.HasPrefix(r.Key, keyLayerPrefix) {
-			refIdx[[2]interface{}{r.Frame, r.Key}] = r
-		}
-	}
-	for i := range edge.Records {
-		er := &edge.Records[i]
-		if er.Kind != KindTensor || !strings.HasPrefix(er.Key, keyLayerPrefix) || er.Frame >= frames {
-			continue
-		}
-		rr, ok := refIdx[[2]interface{}{er.Frame, er.Key}]
-		if !ok {
-			continue
-		}
-		et, err := er.DecodeTensor()
-		if err != nil {
-			return nil, err
-		}
-		rt, err := rr.DecodeTensor()
-		if err != nil {
-			return nil, err
-		}
-		et = dequantIfNeeded(et, er)
-		rt = dequantIfNeeded(rt, rr)
-		if et.Len() != rt.Len() {
-			continue
-		}
-		nrmse, err := tensor.NormalizedRMSE(et, rt)
-		if err != nil {
-			return nil, err
-		}
-		rmse, _ := tensor.RMSE(et, rt)
-		maxA, _ := tensor.MaxAbsDiff(et, rt)
-		a, ok := accs[er.Key]
-		if !ok {
-			a = &acc{diff: LayerDiff{Index: er.LayerIndex, Name: er.LayerName, OpType: er.OpType}}
-			accs[er.Key] = a
-			order = append(order, er.Key)
-		}
-		a.sumN += nrmse
-		a.sumR += rmse
-		if maxA > a.maxA {
-			a.maxA = maxA
-		}
-		a.n++
-	}
-	if len(accs) == 0 {
-		return nil, fmt.Errorf("core: logs share no per-layer tensor records (was per-layer capture enabled?)")
-	}
-	diffs := make([]LayerDiff, 0, len(accs))
-	for _, key := range order {
-		a := accs[key]
-		d := a.diff
-		d.NRMSE = a.sumN / float64(a.n)
-		d.RMSE = a.sumR / float64(a.n)
-		d.MaxAbs = a.maxA
-		d.Frames = a.n
-		diffs = append(diffs, d)
-	}
-	sort.Slice(diffs, func(i, j int) bool { return diffs[i].Index < diffs[j].Index })
-	return diffs, nil
-}
-
-// dequantIfNeeded widens quantized layer captures to float using the stats
-// the record carries. Per-layer comparison across float and quantized model
-// versions needs both sides in real units; quantized records carry raw u8
-// values plus stats, and the capture path stores dequantized stats... to
-// stay self-contained, logs of quantized models are written already
-// dequantized by the pipeline layer, so this only widens integer payloads.
-func dequantIfNeeded(t *tensor.Tensor, r *Record) *tensor.Tensor {
-	if t.DType == tensor.F32 {
-		return t
-	}
-	return tensor.FromFloats(t.Floats(), t.Shape...)
+	var s layerDiffState
+	s.fold(edge, newRefIndex(ref))
+	return s.finalize()
 }
 
 // SuspectLayers returns the layers whose drift indicates a fault: NRMSE
@@ -154,31 +65,16 @@ func FirstSpike(diffs []LayerDiff, threshold, jumpFactor float64) (LayerDiff, bo
 
 // OutputAgreement returns the fraction of frames on which the two logs'
 // model outputs have the same argmax — the accuracy-validation step when no
-// labels are available.
+// labels are available. In each log a frame is decided by its first
+// model-output tensor record; a frame whose output fails to decode, or that
+// only one log carries, is not compared.
 func OutputAgreement(edge, ref *Log) (float64, error) {
-	frames := edge.Frames()
-	if rf := ref.Frames(); rf < frames {
-		frames = rf
+	out := outputState{maxFrame: -1}
+	for i := range edge.Records {
+		// An undecodable output only leaves its frame uncompared.
+		_ = out.consume(&edge.Records[i])
 	}
-	if frames == 0 {
-		return 0, fmt.Errorf("core: no frames to compare")
-	}
-	agree, total := 0, 0
-	for f := 0; f < frames; f++ {
-		et, err1 := edge.FirstTensor(f, KeyModelOutput)
-		rt, err2 := ref.FirstTensor(f, KeyModelOutput)
-		if err1 != nil || err2 != nil {
-			continue
-		}
-		total++
-		if et.ArgMax() == rt.ArgMax() {
-			agree++
-		}
-	}
-	if total == 0 {
-		return 0, fmt.Errorf("core: logs carry no model outputs")
-	}
-	return float64(agree) / float64(total), nil
+	return agreement(&out, newRefIndex(ref))
 }
 
 // LayerLatency aggregates per-layer latency records by layer class (the
@@ -224,103 +120,22 @@ func LatencyByClass(l *Log, classOf func(opType string) string) []LayerLatency {
 // run's: each layer's slowdown ratio is normalized by the median ratio (the
 // overall platform speed difference), and layers exceeding factor times the
 // median stand out — the §4.5 diagnosis that exposed ARM-specific conv
-// kernels running 44x slower on the x86 emulator.
+// kernels running 44x slower on the x86 emulator. Only device-modeled
+// latencies ("ns-modeled") are compared: wall-clock measurements from
+// different resolvers or hosts would produce spurious ratios.
 func StragglersVsReference(edge, ref *Log, factor float64) []string {
-	// Only device-modeled latencies are comparable across runs; wall-clock
-	// measurements from different resolvers or hosts would produce spurious
-	// ratios.
-	edgeLat := meanLayerLatencyModeled(edge)
-	refLat := meanLayerLatencyModeled(ref)
-	type ratioEntry struct {
-		name  string
-		ratio float64
-	}
-	var entries []ratioEntry
-	for name, e := range edgeLat {
-		if r, ok := refLat[name]; ok && r > 0 {
-			entries = append(entries, ratioEntry{name, e / r})
-		}
-	}
-	if len(entries) == 0 {
-		return nil
-	}
-	ratios := make([]float64, len(entries))
-	for i, e := range entries {
-		ratios[i] = e.ratio
-	}
-	sort.Float64s(ratios)
-	median := ratios[len(ratios)/2]
-	if median <= 0 {
-		return nil
-	}
-	var out []string
-	for _, e := range entries {
-		if e.ratio >= factor*median {
-			out = append(out, e.name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-func meanLayerLatencyModeled(l *Log) map[string]float64 {
-	sums := map[string]float64{}
-	counts := map[string]int{}
-	for _, r := range l.Records {
-		if r.Kind != KindMetric || r.Unit != "ns-modeled" ||
-			!strings.HasSuffix(r.Key, "/latency_ns") || !strings.HasPrefix(r.Key, keyLayerPrefix) {
-			continue
-		}
-		sums[r.LayerName] += r.Value
-		counts[r.LayerName]++
-	}
-	out := make(map[string]float64, len(sums))
-	for name, s := range sums {
-		out[name] = s / float64(counts[name])
-	}
-	return out
+	var e, r stragglerState
+	e.fold(edge)
+	r.fold(ref)
+	return e.vsReference(r.modeledMeans(), factor)
 }
 
 // Stragglers returns the layers whose mean latency exceeds factor times the
 // median layer latency — the per-layer latency validation of §4.5.
 func Stragglers(l *Log, factor float64) []string {
-	type layerLat struct {
-		name string
-		sum  float64
-		n    int
-	}
-	byLayer := map[string]*layerLat{}
-	var order []string
-	for _, r := range l.Records {
-		if r.Kind != KindMetric || !strings.HasSuffix(r.Key, "/latency_ns") || !strings.HasPrefix(r.Key, keyLayerPrefix) {
-			continue
-		}
-		ll, ok := byLayer[r.LayerName]
-		if !ok {
-			ll = &layerLat{name: r.LayerName}
-			byLayer[r.LayerName] = ll
-			order = append(order, r.LayerName)
-		}
-		ll.sum += r.Value
-		ll.n++
-	}
-	if len(byLayer) == 0 {
-		return nil
-	}
-	means := make([]float64, 0, len(byLayer))
-	for _, ll := range byLayer {
-		means = append(means, ll.sum/float64(ll.n))
-	}
-	sort.Float64s(means)
-	median := means[len(means)/2]
-	var out []string
-	for _, name := range order {
-		ll := byLayer[name]
-		if median > 0 && ll.sum/float64(ll.n) >= factor*median {
-			out = append(out, name)
-		}
-	}
-	return out
+	var s stragglerState
+	s.fold(l)
+	return s.finalize(factor)
 }
 
 // Report is the validator's output: the Figure 2 flowchart results.
@@ -371,8 +186,7 @@ func Validate(edge, ref *Log, opts ValidateOptions) (*Report, error) {
 	sv := NewStreamValidator(ref, opts)
 	// Offline, the log is at hand: skip the expensive per-layer drift fold
 	// unless agreement turns out to need it (reportLocked replays the layer
-	// records then) — healthy runs never pay for CompareLayers, exactly as
-	// before the streaming decomposition.
+	// records then), so healthy runs never pay for the drift analysis.
 	sv.deferLayers = true
 	for i := range edge.Records {
 		// Malformed records poison exactly the analyses the offline flow

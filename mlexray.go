@@ -575,11 +575,12 @@ func Validate(edge, ref *Log, opts ValidateOptions) (*Report, error) {
 	return core.Validate(edge, ref, opts)
 }
 
-// CompareLayers computes per-layer drift between two per-layer logs.
+// CompareLayers computes per-layer drift between two per-layer logs, aligning
+// layer records by name and averaging over the frames both logs carry.
 func CompareLayers(edge, ref *Log) ([]LayerDiff, error) { return core.CompareLayers(edge, ref) }
 
 // OutputAgreement computes the fraction of frames with matching model-output
-// argmax.
+// argmax, each frame decided by its first model-output record in either log.
 func OutputAgreement(edge, ref *Log) (float64, error) { return core.OutputAgreement(edge, ref) }
 
 // FirstSpike localises the earliest drift spike in a layer-diff series.
