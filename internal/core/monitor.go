@@ -208,31 +208,25 @@ func (m *Monitor) OnInferenceStart() {
 // OnInferenceStop closes the invocation opened by OnInferenceStart,
 // recording end-to-end latency — the paper's on_inf_stop(&interpreter). The
 // interpreter argument supplies the model output and modeled device timing;
-// it may be nil when only wall-clock is wanted.
+// it may be nil when only wall-clock is wanted. The records it emits are
+// OnBatchFrame's.
 func (m *Monitor) OnInferenceStop(ip *interp.Interpreter) {
 	m.mu.Lock()
-	elapsed := time.Since(m.infStart)
+	stats := interp.InvokeStats{Measured: time.Since(m.infStart)}
 	m.mu.Unlock()
-	m.LogMetric(KeyInferenceLatency, float64(elapsed.Nanoseconds()), "ns")
-	if ip == nil {
-		return
+	var out *tensor.Tensor
+	if ip != nil {
+		stats.Modeled = ip.LastInvokeStats().Modeled
+		out, _ = ip.Output(0) // nil on error: no output record
 	}
-	if st := ip.LastInvokeStats(); st.Modeled > 0 {
-		m.LogMetric(KeyInferenceModeled, float64(st.Modeled.Nanoseconds()), "ns")
-	}
-	if out, err := ip.Output(0); err == nil {
-		r := Record{Key: KeyModelOutput}
-		r.EncodeTensor(out, true) // outputs are small; always keep them whole
-		m.append(r)
-	}
+	m.OnBatchFrame(stats, out)
 }
 
-// OnBatchFrame closes one frame element of a batched invocation — the
-// batched-execution analogue of OnInferenceStop. The caller passes the
-// per-frame stats (interp.Batch.FrameStats) and that element's output view;
-// the records emitted are identical in kind and order to a sequential
-// OnInferenceStop: end-to-end latency, modeled latency when a device model
-// is attached, then the full model output.
+// OnBatchFrame closes one frame of an invocation: the pipelines call it per
+// frame element of a batched invoke with interp.Batch.FrameStats and that
+// element's output view, and OnInferenceStop calls it for a hand-timed
+// invoke. It emits end-to-end latency, modeled latency when a device model
+// is attached, then the full model output (when out is non-nil).
 func (m *Monitor) OnBatchFrame(stats interp.InvokeStats, out *tensor.Tensor) {
 	m.LogMetric(KeyInferenceLatency, float64(stats.Measured.Nanoseconds()), "ns")
 	if stats.Modeled > 0 {

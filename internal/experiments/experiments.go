@@ -8,11 +8,12 @@
 // frames shard across ReplayWorkers workers, each owning a pipeline replica,
 // and shard telemetry merges deterministically by frame index — so every
 // number in every table is identical to a sequential run while the suite
-// scales with the core count. Classification sweeps additionally run on the
-// batched inference path (internal/replay + pipeline.BatchClassifier):
-// workers execute ReplayBatch frames per interpreter invoke, amortizing
-// per-node dispatch, planned with KernelBackend at every batch size, with
-// telemetry still byte-identical to sequential.
+// scales with the core count. Classification and detection sweeps
+// additionally fill several interpreter lanes per invoke (internal/replay on
+// pipeline.NewBatchClassifier / NewBatchDetector): workers execute
+// ReplayBatch frames per invoke, amortizing per-node dispatch, planned with
+// KernelBackend at every batch size, with telemetry still byte-identical to
+// a one-lane run.
 package experiments
 
 import (

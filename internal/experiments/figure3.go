@@ -163,14 +163,13 @@ func runImageTask(task string, m *graph.Model, resolver *ops.Resolver, bug pipel
 	opts := pipeline.Options{Resolver: resolver, Bug: bug}
 	switch task {
 	case "classification":
-		// Classification rides the batched inference path (ReplayBatch
-		// frames per interpreter invoke); the merged log is byte-identical
-		// to the frame-at-a-time replay.
+		// Classification replays ReplayBatch frames per interpreter invoke;
+		// the merged log is byte-identical to a one-lane replay.
 		samples := datasets.SynthImageNet(5555, frames)
 		return replay.Classification(m, opts, classificationImages(samples), sweepOptions(monOpts), nil)
 	case "detection":
-		// Detection rides the batched inference path too: the two-output
-		// head decodes per element through interp.Batch.OutputAt.
+		// So does detection: the two-output head decodes per lane through
+		// interp.Batch.OutputAt.
 		samples := datasets.SynthCOCO(6666, frames)
 		images := make([]*imaging.Image, len(samples))
 		for i := range samples {

@@ -62,6 +62,10 @@ func NewBatch(m *graph.Model, n int, resolver *ops.Resolver, opts ...Option) (*B
 	if err != nil {
 		return nil, fmt.Errorf("interp: batch %d: %w", n, err)
 	}
+	// Constants keep their shapes and ids under Rebatch, and kernels never
+	// write them (packed panels live on the node Ctx), so every replica plans
+	// on the source model's weights instead of a private copy.
+	rebatched.Consts = m.Consts
 	// The inner interpreter runs bare of observation options: no hook
 	// (events are replayed per frame afterwards) and no latency model
 	// (projections use batch-1 costs, computed here). The kernel backend IS

@@ -135,6 +135,28 @@ func TestBatchEmitFrameEventsMatchSequential(t *testing.T) {
 	}
 }
 
+// TestBatchSharesSourceWeights: a batched executor plans on the source
+// model's constant tensors rather than a private copy, at one lane and at
+// many, so pipeline replicas share one set of weights.
+func TestBatchSharesSourceWeights(t *testing.T) {
+	m := buildCNN(t, 16)
+	for _, b := range []int{1, 8} {
+		bp, err := NewBatch(m, b, ops.NewOptimized(ops.Fixed()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		consts := bp.BatchModel().Consts
+		if len(consts) != len(m.Consts) {
+			t.Fatalf("batch %d: %d consts, source has %d", b, len(consts), len(m.Consts))
+		}
+		for id, c := range m.Consts {
+			if consts[id] != c {
+				t.Errorf("batch %d: const %d is a copy of the source weight", b, id)
+			}
+		}
+	}
+}
+
 func TestBatchInputValidation(t *testing.T) {
 	m := buildCNN(t, 15)
 	bp, err := NewBatch(m, 2, ops.NewReference(ops.Fixed()))

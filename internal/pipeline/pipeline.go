@@ -25,7 +25,7 @@ type Options struct {
 	// Bug injects one deployment bug into preprocessing.
 	Bug Bug
 	// Orientation simulates the capture orientation sensor reading; only
-	// meaningful alongside BugRotation.
+	// meaningful alongside BugRotation, and only the classifier logs it.
 	Orientation *device.OrientationSensor
 	// Backend selects the kernel micro-kernel backend the optimized
 	// resolver's conv/dense/depthwise kernels dispatch to (plan-time; the
@@ -43,8 +43,8 @@ func (o *Options) resolver() *ops.Resolver {
 
 // interpOptions turns the pipeline options into interpreter options: the
 // monitor's layer hook, the device latency model and the kernel backend.
-// Every pipeline, sequential or batched, plans its interpreter from this one
-// list, so no option can reach one execution path and miss the other.
+// Every pipeline plans its interpreter from this one list, so no option can
+// reach one pipeline and miss another.
 func (o *Options) interpOptions() []interp.Option {
 	iopts := []interp.Option{interp.WithBackend(o.Backend)}
 	if o.Monitor != nil {
@@ -56,198 +56,288 @@ func (o *Options) interpOptions() []interp.Option {
 	return iopts
 }
 
-// Classifier is an instrumented image-classification pipeline.
-type Classifier struct {
-	model   *graph.Model
-	ip      *interp.Interpreter
-	preproc ImagePreproc
-	opts    Options
+// frameCore is the one frame path every pipeline runs. It owns a batched
+// interpreter of Batch() lanes (interp.NewBatch; a per-frame pipeline is the
+// one-lane case), fills the lanes from prepared input tensors, invokes once,
+// and emits each frame's telemetry in the one record order: frame advance,
+// orientation reading, preprocessing capture, per-layer events (from sliced
+// lane views), latency metrics, output slot 0. A batched replay therefore
+// merges byte-identical (modulo wall-clock values) to a frame-at-a-time one.
+type frameCore struct {
+	model *graph.Model
+	bip   *interp.Batch
+	opts  Options
+
+	// ins is the reused backing array for one run call's prepared inputs,
+	// which outlive the lane fill until each frame's telemetry is emitted.
+	ins []*tensor.Tensor
 }
 
-// NewClassifier builds a classification pipeline for the model. The
-// preprocessing starts from the model's correct conventions with opts.Bug
-// applied.
-func NewClassifier(m *graph.Model, opts Options) (*Classifier, error) {
-	if m.Meta.Task != "classification" {
-		return nil, fmt.Errorf("pipeline: model %q is a %s model", m.Name, m.Meta.Task)
+func newFrameCore(m *graph.Model, task string, batch int, opts Options) (frameCore, error) {
+	if m.Meta.Task != task {
+		return frameCore{}, fmt.Errorf("pipeline: model %q is a %s model", m.Name, m.Meta.Task)
 	}
-	pp, err := CorrectImagePreproc(m.Meta)
+	bip, err := interp.NewBatch(m, batch, opts.resolver(), opts.interpOptions()...)
 	if err != nil {
-		return nil, err
+		return frameCore{}, err
 	}
-	c := &Classifier{model: m, preproc: pp.WithBug(opts.Bug), opts: opts}
-	c.ip, err = newInterp(m, &opts)
-	if err != nil {
-		return nil, err
+	return frameCore{model: m, bip: bip, opts: opts, ins: make([]*tensor.Tensor, 0, batch)}, nil
+}
+
+// Batch returns the pipeline's batch capacity.
+func (c *frameCore) Batch() int { return c.bip.Batch() }
+
+// Interpreter exposes the underlying batched interpreter (for memory
+// accounting and per-frame stats).
+func (c *frameCore) Interpreter() *interp.Batch { return c.bip }
+
+// cloneOptions returns the pipeline's options carrying mon instead of its
+// own monitor, for Clone.
+func (c *frameCore) cloneOptions(mon *core.Monitor) Options {
+	o := c.opts
+	o.Monitor = mon
+	return o
+}
+
+// run fills the interpreter lanes with 1..Batch() prepared inputs and
+// invokes once. A short batch pads the unused lanes with the last input (the
+// padded lanes compute but emit no telemetry). Then, frame by frame in
+// order, it emits the frame's telemetry and hands the frame's output slot 0
+// — a live view, valid until the next invoke — to visit.
+func (c *frameCore) run(ins []*tensor.Tensor, visit func(e int, out *tensor.Tensor) error) error {
+	k := len(ins)
+	if k == 0 || k > c.Batch() {
+		return fmt.Errorf("pipeline: %d frames for batch %d", k, c.Batch())
 	}
-	return c, nil
-}
-
-func newInterp(m *graph.Model, opts *Options) (*interp.Interpreter, error) {
-	return interp.New(m, opts.resolver(), opts.interpOptions()...)
-}
-
-// Clone builds an independent replica of the pipeline — same model, bug and
-// device, but its own interpreter arena and the given monitor — so replicas
-// can run frames concurrently. The model, resolver and const tensors are
-// shared read-only.
-func (c *Classifier) Clone(mon *core.Monitor) (*Classifier, error) {
-	opts := c.opts
-	opts.Monitor = mon
-	return NewClassifier(c.model, opts)
-}
-
-// Interpreter exposes the underlying interpreter (for memory accounting).
-func (c *Classifier) Interpreter() *interp.Interpreter { return c.ip }
-
-// Preproc returns the active preprocessing configuration.
-func (c *Classifier) Preproc() ImagePreproc { return c.preproc }
-
-// Classify runs one frame through the instrumented pipeline and returns the
-// predicted class and scores.
-func (c *Classifier) Classify(im *imaging.Image) (int, *tensor.Tensor, error) {
-	mon := c.opts.Monitor
-	if mon != nil {
-		mon.NextFrame()
-		if c.opts.Orientation != nil {
-			mon.LogSensor(core.KeySensorOrientation, c.opts.Orientation.Read(), "deg")
+	for e := 0; e < c.Batch(); e++ {
+		if err := c.bip.SetInputElem(0, e, ins[min(e, k-1)]); err != nil {
+			return err
 		}
 	}
-	in := PreprocessImage(im, c.model.Meta, c.preproc)
-	if mon != nil {
-		mon.LogTensor(core.KeyPreprocessOutput, in)
-		mon.OnInferenceStart()
+	if err := c.bip.Invoke(); err != nil {
+		return err
 	}
-	out, err := c.runModel(in)
+	mon := c.opts.Monitor
+	for e := 0; e < k; e++ {
+		out, err := c.bip.OutputAt(0, e)
+		if err != nil {
+			return err
+		}
+		if mon != nil {
+			mon.NextFrame()
+			if c.opts.Orientation != nil {
+				mon.LogSensor(core.KeySensorOrientation, c.opts.Orientation.Read(), "deg")
+			}
+			mon.LogTensor(core.KeyPreprocessOutput, ins[e])
+			c.bip.EmitFrame(e)
+			mon.OnBatchFrame(c.bip.FrameStats(), out)
+		}
+		if err := visit(e, out); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runOne runs one prepared input as a one-frame batch and returns a clone
+// of its output slot 0, safe to retain.
+func (c *frameCore) runOne(in *tensor.Tensor) (*tensor.Tensor, error) {
+	var res *tensor.Tensor
+	err := c.run(append(c.ins[:0], in), func(_ int, out *tensor.Tensor) error {
+		res = out.Clone()
+		return nil
+	})
+	return res, err
+}
+
+// classifyOne runs one prepared input and returns the predicted class and
+// the scores.
+func (c *frameCore) classifyOne(in *tensor.Tensor) (int, *tensor.Tensor, error) {
+	out, err := c.runOne(in)
 	if err != nil {
 		return 0, nil, err
-	}
-	if mon != nil {
-		mon.OnInferenceStop(c.ip)
 	}
 	return out.ArgMax(), out, nil
 }
 
-func (c *Classifier) runModel(in *tensor.Tensor) (*tensor.Tensor, error) {
-	return c.ip.Run(in)
-}
-
-// Detector is an instrumented object-detection pipeline (SSD-style models
-// with class-score and box-offset outputs).
-type Detector struct {
-	model   *graph.Model
-	ip      *interp.Interpreter
+// imageCore is the frame core plus the image preprocessing the classifier,
+// detector and segmenter share: the model's correct conventions with
+// opts.Bug applied.
+type imageCore struct {
+	frameCore
 	preproc ImagePreproc
-	opts    Options
 }
 
-// NewDetector builds a detection pipeline.
-func NewDetector(m *graph.Model, opts Options) (*Detector, error) {
-	if m.Meta.Task != "detection" {
-		return nil, fmt.Errorf("pipeline: model %q is a %s model", m.Name, m.Meta.Task)
+func newImageCore(m *graph.Model, task string, batch int, opts Options) (imageCore, error) {
+	fc, err := newFrameCore(m, task, batch, opts)
+	if err != nil {
+		return imageCore{}, err
 	}
 	pp, err := CorrectImagePreproc(m.Meta)
 	if err != nil {
-		return nil, err
+		return imageCore{}, err
 	}
-	d := &Detector{model: m, preproc: pp.WithBug(opts.Bug), opts: opts}
-	d.ip, err = newInterp(m, &opts)
+	return imageCore{frameCore: fc, preproc: pp.WithBug(opts.Bug)}, nil
+}
+
+// Preproc returns the active preprocessing configuration.
+func (c *imageCore) Preproc() ImagePreproc { return c.preproc }
+
+func (c *imageCore) prep(im *imaging.Image) *tensor.Tensor {
+	return PreprocessImage(im, c.model.Meta, c.preproc)
+}
+
+// runImages preprocesses 1..Batch() frames and runs them through one invoke.
+func (c *imageCore) runImages(ims []*imaging.Image, visit func(e int, out *tensor.Tensor) error) error {
+	ins := c.ins[:0]
+	for _, im := range ims {
+		ins = append(ins, c.prep(im))
+	}
+	return c.run(ins, visit)
+}
+
+// Classifier is an instrumented image-classification pipeline running up
+// to Batch() frames per interpreter invoke.
+type Classifier struct {
+	imageCore
+	preds []int
+}
+
+// NewClassifier builds a frame-at-a-time classification pipeline for the
+// model: NewBatchClassifier with one lane.
+func NewClassifier(m *graph.Model, opts Options) (*Classifier, error) {
+	return NewBatchClassifier(m, 1, opts)
+}
+
+// NewBatchClassifier builds a classification pipeline of batch lanes for
+// the model. The preprocessing starts from the model's correct conventions
+// with opts.Bug applied.
+func NewBatchClassifier(m *graph.Model, batch int, opts Options) (*Classifier, error) {
+	c, err := newImageCore(m, "classification", batch, opts)
 	if err != nil {
 		return nil, err
 	}
-	return d, nil
+	return &Classifier{imageCore: c, preds: make([]int, batch)}, nil
+}
+
+// Clone builds an independent replica of the pipeline — same model, bug,
+// device and batch, but its own interpreter arena and the given monitor —
+// so replicas can run frames concurrently. The model, resolver and const
+// tensors are shared read-only.
+func (c *Classifier) Clone(mon *core.Monitor) (*Classifier, error) {
+	return NewBatchClassifier(c.model, c.Batch(), c.cloneOptions(mon))
+}
+
+// Classify runs one frame through the instrumented pipeline and returns the
+// predicted class and scores.
+func (c *Classifier) Classify(im *imaging.Image) (int, *tensor.Tensor, error) {
+	return c.classifyOne(c.prep(im))
+}
+
+// ClassifyBatch runs 1..Batch() frames through one invoke and returns the
+// predicted class per frame. The returned slice is reused by the next call.
+func (c *Classifier) ClassifyBatch(ims []*imaging.Image) ([]int, error) {
+	err := c.runImages(ims, func(e int, out *tensor.Tensor) error {
+		c.preds[e] = out.ArgMax()
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return c.preds[:len(ims)], nil
+}
+
+// Detector is an instrumented object-detection pipeline for SSD-style
+// models with class-score and box-offset outputs, running up to Batch()
+// frames per interpreter invoke. Its model/output record carries output
+// slot 0, the scores.
+type Detector struct {
+	imageCore
+	scores []*tensor.Tensor
+	boxes  []*tensor.Tensor
+}
+
+// NewDetector builds a frame-at-a-time detection pipeline: NewBatchDetector
+// with one lane.
+func NewDetector(m *graph.Model, opts Options) (*Detector, error) {
+	return NewBatchDetector(m, 1, opts)
+}
+
+// NewBatchDetector builds a detection pipeline of batch lanes for the model.
+func NewBatchDetector(m *graph.Model, batch int, opts Options) (*Detector, error) {
+	opts.Orientation = nil // detection logs no orientation reading
+	d, err := newImageCore(m, "detection", batch, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Detector{
+		imageCore: d,
+		scores:    make([]*tensor.Tensor, batch),
+		boxes:     make([]*tensor.Tensor, batch),
+	}, nil
 }
 
 // Clone builds an independent replica with its own interpreter arena and the
 // given monitor (see Classifier.Clone).
 func (d *Detector) Clone(mon *core.Monitor) (*Detector, error) {
-	opts := d.opts
-	opts.Monitor = mon
-	return NewDetector(d.model, opts)
+	return NewBatchDetector(d.model, d.Batch(), d.cloneOptions(mon))
 }
 
 // Detect runs one frame and returns raw class scores [A, C] and box offsets
 // [A, 4]; decoding/NMS is the caller's postprocessing (models.DecodeDetections).
 func (d *Detector) Detect(im *imaging.Image) (scores, boxes *tensor.Tensor, err error) {
-	mon := d.opts.Monitor
-	if mon != nil {
-		mon.NextFrame()
-	}
-	in := PreprocessImage(im, d.model.Meta, d.preproc)
-	if mon != nil {
-		mon.LogTensor(core.KeyPreprocessOutput, in)
-		mon.OnInferenceStart()
-	}
-	if err := d.ip.SetInput(0, in); err != nil {
-		return nil, nil, err
-	}
-	if err := d.ip.Invoke(); err != nil {
-		return nil, nil, err
-	}
-	if mon != nil {
-		mon.OnInferenceStop(d.ip)
-	}
-	s, err := d.ip.Output(0)
+	s, b, err := d.DetectBatch([]*imaging.Image{im})
 	if err != nil {
 		return nil, nil, err
 	}
-	b, err := d.ip.Output(1)
+	return s[0], b[0], nil
+}
+
+// DetectBatch runs 1..Batch() frames through one invoke and returns each
+// frame's raw class scores [A, C] and box offsets [A, 4]. The returned
+// slices are reused by the next call; the tensors are clones, safe to
+// retain.
+func (d *Detector) DetectBatch(ims []*imaging.Image) (scores, boxes []*tensor.Tensor, err error) {
+	err = d.runImages(ims, func(e int, s *tensor.Tensor) error {
+		b, err := d.bip.OutputAt(1, e)
+		if err != nil {
+			return err
+		}
+		d.scores[e], d.boxes[e] = s.Clone(), b.Clone()
+		return nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return s.Clone(), b.Clone(), nil
+	return d.scores[:len(ims)], d.boxes[:len(ims)], nil
 }
 
 // Segmenter is an instrumented segmentation pipeline.
 type Segmenter struct {
-	model   *graph.Model
-	ip      *interp.Interpreter
-	preproc ImagePreproc
-	opts    Options
+	imageCore
 }
 
 // NewSegmenter builds a segmentation pipeline.
 func NewSegmenter(m *graph.Model, opts Options) (*Segmenter, error) {
-	if m.Meta.Task != "segmentation" {
-		return nil, fmt.Errorf("pipeline: model %q is a %s model", m.Name, m.Meta.Task)
-	}
-	pp, err := CorrectImagePreproc(m.Meta)
+	opts.Orientation = nil // segmentation logs no orientation reading
+	s, err := newImageCore(m, "segmentation", 1, opts)
 	if err != nil {
 		return nil, err
 	}
-	s := &Segmenter{model: m, preproc: pp.WithBug(opts.Bug), opts: opts}
-	s.ip, err = newInterp(m, &opts)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
+	return &Segmenter{s}, nil
 }
 
 // Clone builds an independent replica with its own interpreter arena and the
 // given monitor (see Classifier.Clone).
 func (s *Segmenter) Clone(mon *core.Monitor) (*Segmenter, error) {
-	opts := s.opts
-	opts.Monitor = mon
-	return NewSegmenter(s.model, opts)
+	return NewSegmenter(s.model, s.cloneOptions(mon))
 }
 
 // Segment returns the per-pixel argmax label map.
 func (s *Segmenter) Segment(im *imaging.Image) ([]int32, error) {
-	mon := s.opts.Monitor
-	if mon != nil {
-		mon.NextFrame()
-	}
-	in := PreprocessImage(im, s.model.Meta, s.preproc)
-	if mon != nil {
-		mon.LogTensor(core.KeyPreprocessOutput, in)
-		mon.OnInferenceStart()
-	}
-	out, err := s.ip.Run(in)
+	out, err := s.runOne(s.prep(im))
 	if err != nil {
 		return nil, err
-	}
-	if mon != nil {
-		mon.OnInferenceStop(s.ip)
 	}
 	// out is [1, h, w, C]: argmax over the class axis.
 	h, w, c := out.Shape[1], out.Shape[2], out.Shape[3]
@@ -266,66 +356,42 @@ func (s *Segmenter) Segment(im *imaging.Image) ([]int32, error) {
 
 // SpeechRecognizer is an instrumented keyword-spotting pipeline.
 type SpeechRecognizer struct {
-	model   *graph.Model
-	ip      *interp.Interpreter
+	frameCore
 	preproc SpeechPreproc
-	opts    Options
 }
 
 // NewSpeechRecognizer builds a speech pipeline.
 func NewSpeechRecognizer(m *graph.Model, opts Options) (*SpeechRecognizer, error) {
-	if m.Meta.Task != "speech" {
-		return nil, fmt.Errorf("pipeline: model %q is a %s model", m.Name, m.Meta.Task)
+	opts.Orientation = nil // speech logs no orientation reading
+	fc, err := newFrameCore(m, "speech", 1, opts)
+	if err != nil {
+		return nil, err
 	}
 	pp, err := CorrectSpeechPreproc(m.Meta)
 	if err != nil {
 		return nil, err
 	}
-	s := &SpeechRecognizer{model: m, preproc: pp.WithBug(opts.Bug), opts: opts}
-	s.ip, err = newInterp(m, &opts)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
+	return &SpeechRecognizer{frameCore: fc, preproc: pp.WithBug(opts.Bug)}, nil
 }
 
 // Clone builds an independent replica with its own interpreter arena and the
 // given monitor (see Classifier.Clone).
 func (s *SpeechRecognizer) Clone(mon *core.Monitor) (*SpeechRecognizer, error) {
-	opts := s.opts
-	opts.Monitor = mon
-	return NewSpeechRecognizer(s.model, opts)
+	return NewSpeechRecognizer(s.model, s.cloneOptions(mon))
 }
 
 // Recognize classifies one waveform.
 func (s *SpeechRecognizer) Recognize(wave []float64) (int, *tensor.Tensor, error) {
-	mon := s.opts.Monitor
-	if mon != nil {
-		mon.NextFrame()
-	}
 	in, err := PreprocessSpeech(wave, s.preproc)
 	if err != nil {
 		return 0, nil, err
 	}
-	if mon != nil {
-		mon.LogTensor(core.KeyPreprocessOutput, in)
-		mon.OnInferenceStart()
-	}
-	out, err := s.ip.Run(in)
-	if err != nil {
-		return 0, nil, err
-	}
-	if mon != nil {
-		mon.OnInferenceStop(s.ip)
-	}
-	return out.ArgMax(), out, nil
+	return s.classifyOne(in)
 }
 
 // TextClassifier is an instrumented sentiment pipeline.
 type TextClassifier struct {
-	model *graph.Model
-	ip    *interp.Interpreter
-	opts  Options
+	frameCore
 	// tokenize maps raw text to ids; the BugLowercase variant folds case
 	// first (the §A experiment). origTok keeps the unwrapped tokenizer so
 	// Clone can rebuild without stacking the bug twice.
@@ -336,18 +402,14 @@ type TextClassifier struct {
 // NewTextClassifier builds a text pipeline. tokenizer maps text to fixed-
 // length token ids (datasets.TokenizeText for the synthetic vocab).
 func NewTextClassifier(m *graph.Model, tokenizer func(string) []int32, opts Options) (*TextClassifier, error) {
-	if m.Meta.Task != "text" {
-		return nil, fmt.Errorf("pipeline: model %q is a %s model", m.Name, m.Meta.Task)
-	}
-	t := &TextClassifier{model: m, opts: opts, tokenize: tokenizer, origTok: tokenizer}
-	if opts.Bug == BugLowercase {
-		inner := tokenizer
-		t.tokenize = func(s string) []int32 { return inner(lowercase(s)) }
-	}
-	var err error
-	t.ip, err = newInterp(m, &opts)
+	opts.Orientation = nil // text logs no orientation reading
+	fc, err := newFrameCore(m, "text", 1, opts)
 	if err != nil {
 		return nil, err
+	}
+	t := &TextClassifier{frameCore: fc, tokenize: tokenizer, origTok: tokenizer}
+	if opts.Bug == BugLowercase {
+		t.tokenize = func(s string) []int32 { return tokenizer(lowercase(s)) }
 	}
 	return t, nil
 }
@@ -365,29 +427,11 @@ func lowercase(s string) string {
 // Clone builds an independent replica with its own interpreter arena and the
 // given monitor (see Classifier.Clone).
 func (t *TextClassifier) Clone(mon *core.Monitor) (*TextClassifier, error) {
-	opts := t.opts
-	opts.Monitor = mon
-	return NewTextClassifier(t.model, t.origTok, opts)
+	return NewTextClassifier(t.model, t.origTok, t.cloneOptions(mon))
 }
 
 // ClassifyText runs one review through the pipeline.
 func (t *TextClassifier) ClassifyText(text string) (int, *tensor.Tensor, error) {
-	mon := t.opts.Monitor
-	if mon != nil {
-		mon.NextFrame()
-	}
 	ids := t.tokenize(text)
-	in := tensor.FromInt32(ids, 1, len(ids))
-	if mon != nil {
-		mon.LogTensor(core.KeyPreprocessOutput, in)
-		mon.OnInferenceStart()
-	}
-	out, err := t.ip.Run(in)
-	if err != nil {
-		return 0, nil, err
-	}
-	if mon != nil {
-		mon.OnInferenceStop(t.ip)
-	}
-	return out.ArgMax(), out, nil
+	return t.classifyOne(tensor.FromInt32(ids, 1, len(ids)))
 }

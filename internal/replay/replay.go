@@ -57,12 +57,12 @@ type ClassifyResult struct {
 	Modeled time.Duration
 }
 
-// Classification replays images through batched classifier replicas on
-// the parallel replay engine and returns the merged telemetry log. Each
-// worker owns a pipeline.BatchClassifier of B = max(1, ropts.BatchFrames)
-// lanes and runs every dispatched frame range through one batched invoke;
-// the merged log is byte-identical to a sequential Classifier replay
-// (modulo wall-clock latency values) at every B.
+// Classification replays images through classifier replicas on the
+// parallel replay engine and returns the merged telemetry log. Each worker
+// owns a pipeline.Classifier of B = max(1, ropts.BatchFrames) lanes and runs
+// every dispatched frame range through one invoke; the merged log is
+// byte-identical to a one-lane replay (modulo wall-clock latency values) at
+// every B.
 //
 //   - ropts.MonitorOptions nil replays uninstrumented (accuracy-eval mode):
 //     replicas carry no monitor, so the hot path pays no telemetry cost and
@@ -91,8 +91,8 @@ func workerOptions(o pipeline.Options, instrumented bool, mon *core.Monitor) pip
 	return o
 }
 
-// classifyWorker builds one worker's BatchClassifier of B = max(1, batch)
-// lanes and returns the range function that runs it.
+// classifyWorker builds one worker's Classifier of B = max(1, batch) lanes
+// and returns the range function that runs it.
 func classifyWorker(m *graph.Model, o pipeline.Options, batch int, images []*imaging.Image,
 	onFrame func(frame int, r ClassifyResult) error) (runner.ProcessBatchFunc, error) {
 	bc, err := pipeline.NewBatchClassifier(m, max(1, batch), o)
@@ -122,12 +122,11 @@ type DetectResult struct {
 	Boxes  *tensor.Tensor
 }
 
-// Detection replays images through batched detector replicas on the
-// parallel replay engine and returns the merged telemetry log. Like
-// Classification, each worker owns a pipeline.BatchDetector of
-// B = max(1, ropts.BatchFrames) lanes — the two-output head decoded per
-// element through interp.Batch.OutputAt — and nil MonitorOptions replays
-// uninstrumented. onFrame runs on worker goroutines; implementations must
+// Detection replays images through detector replicas on the parallel
+// replay engine and returns the merged telemetry log. Like Classification,
+// each worker owns a pipeline.Detector of B = max(1, ropts.BatchFrames)
+// lanes — the two-output head decoded per element through
+// interp.Batch.OutputAt — and nil MonitorOptions replays uninstrumented. onFrame runs on worker goroutines; implementations must
 // only write frame-indexed slots or otherwise synchronise.
 func Detection(m *graph.Model, popts pipeline.Options, images []*imaging.Image,
 	ropts runner.Options, onFrame func(frame int, r DetectResult) error) (*core.Log, error) {
@@ -137,7 +136,7 @@ func Detection(m *graph.Model, popts pipeline.Options, images []*imaging.Image,
 	}, ropts)
 }
 
-// detectWorker builds one worker's BatchDetector of B = max(1, batch) lanes
+// detectWorker builds one worker's Detector of B = max(1, batch) lanes
 // and returns the range function that runs it.
 func detectWorker(m *graph.Model, o pipeline.Options, batch int, images []*imaging.Image,
 	onFrame func(frame int, r DetectResult) error) (runner.ProcessBatchFunc, error) {
@@ -163,7 +162,7 @@ func detectWorker(m *graph.Model, o pipeline.Options, batch int, images []*imagi
 // fleet through detector replicas — the detection binding of the
 // task-agnostic fleet scheduler, mirroring FleetClassification: the shard
 // policy splits the frame range, each device's workers run its shard through
-// pipeline.BatchDetector replicas of B = max(1, spec.BatchFrames) lanes
+// pipeline.Detector replicas of B = max(1, spec.BatchFrames) lanes
 // carrying the device's latency profile, and per-device shard logs land in
 // FleetResult.DeviceLogs and the per-device sinks. perDevice customizes one
 // device's pipeline options (the device-local bug hook); nil fleet
@@ -177,9 +176,9 @@ func FleetDetection(m *graph.Model, popts pipeline.Options, images []*imaging.Im
 
 // FleetClassification replays images across a heterogeneous simulated
 // device fleet: the fleet's shard policy splits the frame range across its
-// DeviceSpecs, and every device runs its shard through pipeline.
-// BatchClassifier replicas of B = max(1, spec.BatchFrames) lanes carrying
-// that device's latency profile. Per-device shard logs land in
+// DeviceSpecs, and every device runs its shard through pipeline.Classifier
+// replicas of B = max(1, spec.BatchFrames) lanes carrying that device's
+// latency profile. Per-device shard logs land in
 // FleetResult.DeviceLogs (and the per-device sinks); the merged log keeps
 // the sequential-order determinism contract of Classification.
 //

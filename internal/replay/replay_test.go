@@ -58,7 +58,7 @@ func sequentialLog(t testing.TB, m *graph.Model, bug pipeline.Bug, resolver *ops
 }
 
 // batchedLog replays the standard samples through the batched inference path
-// (pipeline.BatchClassifier on runner.ReplayBatched).
+// (pipeline.NewBatchClassifier replicas on runner.ReplayBatched).
 func batchedLog(t testing.TB, m *graph.Model, bug pipeline.Bug, resolver *ops.Resolver, workers, batch int, dev *device.Profile) *core.Log {
 	t.Helper()
 	l, err := Classification(m,

@@ -25,12 +25,15 @@
 //	sink := mlexray.NewBinarySink(f) // or NewJSONLSink / NewLogSink(f, format)
 //	mon := mlexray.NewMonitor(mlexray.WithPerLayer(true), mlexray.WithSink(sink))
 //	cl, err := pipeline.NewClassifier(model, pipeline.Options{Monitor: mon})
-//	...
-//	mon.OnInferenceStart()
-//	// invoke ...
-//	mon.OnInferenceStop(interp)
-//	...
+//	for _, im := range frames {
+//		pred, scores, err := cl.Classify(im) // logs the frame's records
+//		...
+//	}
 //	mon.Flush() // spill the last frame, flush the sink
+//
+// An app with its own interpreter loop instruments it by hand instead:
+// mon.NextFrame(), then mon.OnInferenceStart() before the invoke and
+// mon.OnInferenceStop(interp) after it.
 //
 // Reading accepts either encoding, auto-detected, and validation is
 // identical whichever format carried the logs:
