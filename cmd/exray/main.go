@@ -1,9 +1,12 @@
 // Command exray runs the full ML-EXray deployment-validation flow on a zoo
-// model: it executes an (optionally bugged) edge pipeline and the correct
-// reference pipeline over the same data, compares the logs following the
-// paper's Figure 2 flowchart, and prints the validation report with
-// root-cause findings. Both replays shard across -parallel workers, and
-// classification models run -batch frames per batched interpreter invoke.
+// model of any task (classification, detection, segmentation, speech,
+// text): it executes an (optionally bugged) edge pipeline and the correct
+// reference pipeline over the task's evaluation set, compares the logs
+// following the paper's Figure 2 flowchart, and prints the validation report
+// with root-cause findings. Both replays shard across -parallel workers in
+// -batch frame ranges; classification and detection models run each range
+// through one batched interpreter invoke, the other tasks one frame per
+// invoke.
 //
 // Instead of replaying, either side can be loaded from a pre-captured
 // telemetry log (-edge-log / -ref-log): the file's encoding — JSONL or the
@@ -22,6 +25,7 @@
 //	exray -model mobilenetv2-mini -bug channel
 //	exray -model mobilenetv2-mini -quant -resolver optimized -perlayer -batch 32
 //	exray -model kws-mini-a -bug specnorm
+//	exray -model deeplab-mini -bug rotation -fixed
 //	exray -edge-log edge.mlxb -ref-log ref.jsonl
 //	exray -fleet "Pixel4:2:8,Pixel3:1,Emulator-x86:1" -bug normalization -bug-device 1
 package main
@@ -79,8 +83,8 @@ func run(args []string, stdout io.Writer) error {
 		}
 		return runFleetValidation(stdout, fleetConfig{
 			model: *model, bug: *bug, quant: *quantF, resolver: *resolver, fixed: *fixed,
-			frames: *frames, perLayer: *perLayer, spec: *fleetF, shard: *shard,
-			bugDevice: *bugDev, refPath: *refPath,
+			frames: *frames, perLayer: *perLayer, parallel: *parallel, batch: *batch,
+			spec: *fleetF, shard: *shard, bugDevice: *bugDev, refPath: *refPath,
 		})
 	}
 	if *edgePath != "" && *refPath != "" {
@@ -111,18 +115,9 @@ func run(args []string, stdout io.Writer) error {
 		if *quantF {
 			edgeModel = entry.Quant
 		}
-		cfg := ops.Historical()
-		if *fixed {
-			cfg = ops.Fixed()
-		}
 		var edgeResolver *ops.Resolver
-		switch *resolver {
-		case "optimized":
-			edgeResolver = ops.NewOptimized(cfg)
-		case "reference":
-			edgeResolver = ops.NewReference(cfg)
-		default:
-			return fmt.Errorf("unknown resolver %q", *resolver)
+		if edgeResolver, err = resolverFor(*resolver, *fixed); err != nil {
+			return err
 		}
 		fmt.Fprintf(stdout, "edge:      %s (%s, %s resolver, bug=%s)\n", edgeModel.Name, edgeModel.Format, *resolver, *bug)
 		edgeLog, err = captureLog(edgeModel, edgeResolver, pipeline.Bug(*bug), *frames, *perLayer, *parallel, *batch)
@@ -148,7 +143,7 @@ func run(args []string, stdout io.Writer) error {
 type fleetConfig struct {
 	model, bug, resolver, spec, shard, refPath string
 	quant, fixed, perLayer                     bool
-	frames, bugDevice                          int
+	frames, parallel, batch, bugDevice         int
 }
 
 // runFleetValidation replays the edge side across a device fleet, validates
@@ -175,18 +170,9 @@ func runFleetValidation(stdout io.Writer, cfg fleetConfig) error {
 	if cfg.quant {
 		m = entry.Quant
 	}
-	kcfg := ops.Historical()
-	if cfg.fixed {
-		kcfg = ops.Fixed()
-	}
-	var edgeResolver *ops.Resolver
-	switch cfg.resolver {
-	case "optimized":
-		edgeResolver = ops.NewOptimized(kcfg)
-	case "reference":
-		edgeResolver = ops.NewReference(kcfg)
-	default:
-		return fmt.Errorf("unknown resolver %q", cfg.resolver)
+	edgeResolver, err := resolverFor(cfg.resolver, cfg.fixed)
+	if err != nil {
+		return err
 	}
 
 	monOpts := []core.MonitorOption{core.WithCaptureMode(core.CaptureFull), core.WithPerLayer(cfg.perLayer)}
@@ -211,7 +197,7 @@ func runFleetValidation(stdout io.Writer, cfg fleetConfig) error {
 	} else {
 		fmt.Fprintf(stdout, "reference:  %s (%s, reference resolver, fixed kernels)\n", entry.Mobile.Name, entry.Mobile.Format)
 		refLog, err = captureLog(entry.Mobile, ops.NewReference(ops.Fixed()), pipeline.BugNone,
-			cfg.frames, cfg.perLayer, 0, 8)
+			cfg.frames, cfg.perLayer, cfg.parallel, cfg.batch)
 	}
 	if err != nil {
 		return err
@@ -267,54 +253,28 @@ func loadLog(path string, stdout io.Writer, role string) (*core.Log, error) {
 	return l, nil
 }
 
-// captureLog replays the model's evaluation set through the parallel replay
-// engine with full capture and returns the merged telemetry log.
-// Classification models run on the batched inference path; speech and text
-// batch dispatch only.
+// resolverFor builds the edge op resolver the -resolver and -fixed flags
+// select: the historical kernel build, or the repaired one with -fixed.
+func resolverFor(name string, fixed bool) (*ops.Resolver, error) {
+	cfg := ops.Historical()
+	if fixed {
+		cfg = ops.Fixed()
+	}
+	switch name {
+	case "optimized":
+		return ops.NewOptimized(cfg), nil
+	case "reference":
+		return ops.NewReference(cfg), nil
+	}
+	return nil, fmt.Errorf("unknown resolver %q", name)
+}
+
+// captureLog replays the model task's evaluation set (replay.Capture) with
+// full capture and returns the merged telemetry log.
 func captureLog(m *graph.Model, resolver *ops.Resolver, bug pipeline.Bug, frames int, perLayer bool, parallel, batch int) (*core.Log, error) {
-	opts := runner.Options{
+	return replay.Capture(m, pipeline.Options{Resolver: resolver, Bug: bug}, frames, runner.Options{
 		Workers:        parallel,
 		BatchFrames:    batch,
 		MonitorOptions: []core.MonitorOption{core.WithCaptureMode(core.CaptureFull), core.WithPerLayer(perLayer)},
-	}
-	popts := pipeline.Options{Resolver: resolver, Bug: bug}
-	switch m.Meta.Task {
-	case "classification":
-		images := replay.Images(datasets.SynthImageNet(5555, frames))
-		return replay.Classification(m, popts, images, opts, nil)
-	case "speech":
-		base, err := pipeline.NewSpeechRecognizer(m, popts)
-		if err != nil {
-			return nil, err
-		}
-		samples := datasets.SynthSpeech(7777, frames)
-		return runner.Replay(len(samples), func(mon *core.Monitor) (runner.ProcessFunc, error) {
-			sr, err := base.Clone(mon)
-			if err != nil {
-				return nil, err
-			}
-			return func(i int) error {
-				_, _, err := sr.Recognize(samples[i].Wave)
-				return err
-			}, nil
-		}, opts)
-	case "text":
-		base, err := pipeline.NewTextClassifier(m, datasets.TokenizeText, popts)
-		if err != nil {
-			return nil, err
-		}
-		samples := datasets.SynthIMDB(9999, frames)
-		return runner.Replay(len(samples), func(mon *core.Monitor) (runner.ProcessFunc, error) {
-			tc, err := base.Clone(mon)
-			if err != nil {
-				return nil, err
-			}
-			return func(i int) error {
-				_, _, err := tc.ClassifyText(samples[i].Text)
-				return err
-			}, nil
-		}, opts)
-	default:
-		return nil, fmt.Errorf("exray: task %q not supported by this command", m.Meta.Task)
-	}
+	})
 }

@@ -46,6 +46,21 @@ func TestRunCatchesInjectedBug(t *testing.T) {
 	}
 }
 
+// TestRunEveryTask drives the one-shot validation flow on a model of each
+// non-classification task: every zoo task replays its evaluation set.
+func TestRunEveryTask(t *testing.T) {
+	for _, model := range []string{"ssd-mini", "deeplab-mini", "kws-mini-a", "nnlm-mini"} {
+		var buf bytes.Buffer
+		if err := run([]string{"-model", model, "-fixed", "-frames", "2"}, &buf); err != nil {
+			t.Errorf("%s: %v", model, err)
+			continue
+		}
+		if !strings.Contains(buf.String(), "deployment validation report") {
+			t.Errorf("%s: missing report:\n%s", model, buf.String())
+		}
+	}
+}
+
 // TestRunFromLogFiles validates pre-captured logs instead of replaying: the
 // edge log stored binary, the reference log JSONL, both auto-detected — and
 // the rendered report is identical whichever encoding carried the logs.

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"time"
 
 	"mlexray/internal/interp"
-	"mlexray/internal/quant"
 	"mlexray/internal/tensor"
 )
 
@@ -256,33 +256,32 @@ func (m *Monitor) LayerHook() interp.NodeHook {
 		// Quantized captures are stored raw (1 byte/element) with their
 		// scale/zero-point; decode dequantizes, so per-layer logs compare in
 		// real units across float and quantized versions of a model while
-		// keeping the on-disk size advantage of integer models.
+		// keeping the on-disk size advantage of integer models. The stats
+		// are rewritten in real units in every capture mode, for
+		// range-normalized drift.
 		out := ev.Outputs[0]
+		r.EncodeTensor(out, m.mode == CaptureFull)
 		if out.DType == tensor.U8 && len(ev.OutQuant) > 0 && ev.OutQuant[0] != nil {
 			r.QScale = ev.OutQuant[0].Scale(0)
 			r.QZero = ev.OutQuant[0].ZeroPoint(0)
-			// Stats must reflect real units for range-normalized drift.
-			if m.mode != CaptureFull {
-				deq := quant.DequantizeTensorU8(out, ev.OutQuant[0])
-				r.EncodeTensor(deq, false)
-				m.append(r)
-				m.appendLayerLatency(ev)
-				return
-			}
-		}
-		r.EncodeTensor(out, m.mode == CaptureFull)
-		if r.QScale != 0 && r.Stats != nil {
-			// Rewrite stats in dequantized units.
-			s := *r.Stats
-			s.Min = r.QScale * (s.Min - float64(r.QZero))
-			s.Max = r.QScale * (s.Max - float64(r.QZero))
-			s.Mean = r.QScale * (s.Mean - float64(r.QZero))
-			s.RMS = 0 // raw RMS does not transform linearly; recompute on decode when needed
-			r.Stats = &s
+			r.Stats = dequantizedStats(*r.Stats, r.QScale, r.QZero)
 		}
 		m.append(r)
 		m.appendLayerLatency(ev)
 	}
+}
+
+// dequantizedStats maps the stats of raw quantized values q to those of the
+// real values scale*(q-zero): min, max and mean map affinely, and the mean
+// square expands to RMS_q² − 2·zero·mean_q + zero².
+func dequantizedStats(s tensor.Stats, scale float64, zero int32) *tensor.Stats {
+	z := float64(zero)
+	meanSq := s.RMS*s.RMS - 2*z*s.Mean + z*z
+	s.Min = scale * (s.Min - z)
+	s.Max = scale * (s.Max - z)
+	s.Mean = scale * (s.Mean - z)
+	s.RMS = scale * math.Sqrt(max(0, meanSq))
+	return &s
 }
 
 func (m *Monitor) appendLayerLatency(ev interp.NodeEvent) {

@@ -13,7 +13,6 @@ import (
 	"mlexray/internal/interp"
 	"mlexray/internal/ops"
 	"mlexray/internal/pipeline"
-	"mlexray/internal/replay"
 	"mlexray/internal/tensor"
 	"mlexray/internal/zoo"
 )
@@ -37,11 +36,11 @@ func AblationErrorMetrics() ([]AblationErrorMetricsRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	refLog, err := perLayerLog(e.Mobile, ops.NewReference(ops.Fixed()), 3)
+	refLog, err := capture(e.Mobile, ops.NewReference(ops.Fixed()), pipeline.BugNone, 3, true)
 	if err != nil {
 		return nil, err
 	}
-	edgeLog, err := perLayerLog(e.Quant, ops.NewOptimized(ops.Historical()), 3)
+	edgeLog, err := capture(e.Quant, ops.NewOptimized(ops.Historical()), pipeline.BugNone, 3, true)
 	if err != nil {
 		return nil, err
 	}
@@ -271,12 +270,7 @@ func AblationLogFormat() ([]AblationLogFormatRow, error) {
 		return nil, err
 	}
 	const frames = 4
-	samples := datasets.SynthImageNet(5555, frames)
-	mergedLog, err := replay.Classification(e.Mobile,
-		pipeline.Options{Resolver: fixedOptimized()},
-		classificationImages(samples),
-		sweepOptions([]core.MonitorOption{core.WithCaptureMode(core.CaptureFull), core.WithPerLayer(true)}),
-		nil)
+	mergedLog, err := capture(e.Mobile, fixedOptimized(), pipeline.BugNone, frames, true)
 	if err != nil {
 		return nil, err
 	}

@@ -4,16 +4,18 @@
 // bench harness and cmd/benchtab drive them. EXPERIMENTS.md records the
 // paper-vs-measured comparison for each.
 //
-// All dataset sweeps run on the parallel replay engine (internal/runner):
-// frames shard across ReplayWorkers workers, each owning a pipeline replica,
-// and shard telemetry merges deterministically by frame index — so every
-// number in every table is identical to a sequential run while the suite
-// scales with the core count. Classification and detection sweeps
-// additionally fill several interpreter lanes per invoke (internal/replay on
-// pipeline.NewBatchClassifier / NewBatchDetector): workers execute
-// ReplayBatch frames per invoke, amortizing per-node dispatch, planned with
-// KernelBackend at every batch size, with telemetry still byte-identical to
-// a one-lane run.
+// All dataset sweeps run through internal/replay on the parallel replay
+// engine: frames shard across ReplayWorkers workers, each owning a pipeline
+// replica, and shard telemetry merges deterministically by frame index — so
+// every number in every table is identical to a sequential run while the
+// suite scales with the core count. The validation sweeps (Figures 3 and 6,
+// the fleet reference, the ablations) capture logs with capture, which is
+// replay.Capture: the task's one evaluation set, so an edge and a reference
+// log of a task always cover the same samples. Classification and detection
+// replays additionally fill several interpreter lanes per invoke: workers
+// execute ReplayBatch frames per invoke, amortizing per-node dispatch, with
+// telemetry still byte-identical to a one-lane run; segmentation, speech and
+// text run one frame per invoke.
 package experiments
 
 import (
@@ -24,7 +26,6 @@ import (
 	"mlexray/internal/datasets"
 	"mlexray/internal/device"
 	"mlexray/internal/graph"
-	"mlexray/internal/imaging"
 	"mlexray/internal/metrics"
 	"mlexray/internal/ops"
 	"mlexray/internal/pipeline"
@@ -43,8 +44,9 @@ var EvalFrames = 120
 var ReplayWorkers = 0
 
 // ReplayBatch is the frame-batch size per worker dispatch. Classification
-// sweeps run whole batches through single batched interpreter invokes;
-// other tasks batch dispatch only. Results are identical for any value.
+// and detection sweeps run whole batches through single batched interpreter
+// invokes; other tasks batch dispatch only. Results are identical for any
+// value.
 var ReplayBatch = 8
 
 // KernelBackend is the kernel micro-kernel backend accuracy sweeps plan
@@ -59,16 +61,12 @@ func sweepOptions(monOpts []core.MonitorOption) runner.Options {
 	return runner.Options{Workers: ReplayWorkers, BatchFrames: ReplayBatch, MonitorOptions: monOpts}
 }
 
-// replayLog shards a replay across the worker pool and returns the merged
-// telemetry log. factory builds one worker's per-frame body around its
-// monitor shard.
-func replayLog(frames int, monOpts []core.MonitorOption, factory runner.WorkerFactory) (*core.Log, error) {
-	return runner.Replay(frames, factory, sweepOptions(monOpts))
-}
-
-// classificationImages projects an image-sample set to the replay input.
-func classificationImages(samples []datasets.ImageSample) []*imaging.Image {
-	return replay.Images(samples)
+// capture replays the first frames samples of the model task's evaluation
+// set (replay.Capture) on the sweep pool with full capture, per-layer when
+// perLayer is set, and returns the merged telemetry log.
+func capture(m *graph.Model, resolver *ops.Resolver, bug pipeline.Bug, frames int, perLayer bool) (*core.Log, error) {
+	return replay.Capture(m, pipeline.Options{Resolver: resolver, Bug: bug}, frames,
+		sweepOptions([]core.MonitorOption{core.WithCaptureMode(core.CaptureFull), core.WithPerLayer(perLayer)}))
 }
 
 // evalClassifierAccuracy measures top-1 accuracy of a model version through
@@ -82,8 +80,8 @@ func evalClassifierAccuracy(m *graph.Model, opts pipeline.Options, n int) (float
 	samples := datasets.SynthImageNet(5555, n)
 	preds := make([]int, len(samples))
 	labels := make([]int, len(samples))
-	_, err := replay.Classification(m, opts, classificationImages(samples),
-		runner.Options{Workers: ReplayWorkers, BatchFrames: ReplayBatch},
+	_, err := replay.Classification(m, opts, replay.Images(samples),
+		sweepOptions(nil),
 		func(i int, r replay.ClassifyResult) error {
 			preds[i], labels[i] = r.Pred, samples[i].Label
 			return nil

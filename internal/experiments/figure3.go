@@ -1,18 +1,14 @@
 package experiments
 
 import (
-	"fmt"
 	"io"
 	"strings"
 
 	"mlexray/internal/core"
-	"mlexray/internal/datasets"
 	"mlexray/internal/graph"
-	"mlexray/internal/imaging"
 	"mlexray/internal/ops"
 	"mlexray/internal/pipeline"
 	"mlexray/internal/replay"
-	"mlexray/internal/runner"
 	"mlexray/internal/zoo"
 )
 
@@ -39,41 +35,34 @@ func Figure3(frames int) ([]Figure3Cell, error) {
 
 	// --- image tasks: classification, detection, segmentation ---
 	imageBugs := []pipeline.Bug{pipeline.BugResize, pipeline.BugChannel, pipeline.BugNormalization, pipeline.BugRotation}
-	type imageTask struct {
-		task  string
-		model string
-	}
-	for _, it := range []imageTask{
-		{"classification", "mobilenetv2-mini"},
-		{"detection", "ssd-mini"},
-		{"segmentation", "deeplab-mini"},
-	} {
-		entry, err := zoo.Get(it.model)
+	for _, name := range []string{"mobilenetv2-mini", "ssd-mini", "deeplab-mini"} {
+		entry, err := zoo.Get(name)
 		if err != nil {
 			return nil, err
 		}
-		refLog, err := runImageTask(it.task, entry.Mobile, ops.NewReference(ops.Fixed()), pipeline.BugNone, frames, false)
+		task := entry.Mobile.Meta.Task
+		refLog, err := capture(entry.Mobile, ops.NewReference(ops.Fixed()), pipeline.BugNone, frames, false)
 		if err != nil {
 			return nil, err
 		}
 		for _, bug := range imageBugs {
-			edgeLog, err := runImageTask(it.task, entry.Mobile, fixedOptimized(), bug, frames, false)
+			edgeLog, err := capture(entry.Mobile, fixedOptimized(), bug, frames, false)
 			if err != nil {
 				return nil, err
 			}
-			cells = append(cells, validateCell(it.task, string(bug), edgeLog, refLog))
+			cells = append(cells, validateCell(task, string(bug), edgeLog, refLog))
 		}
 		// Quantization issue: the historical kernel build on the quantized
 		// model, with per-layer capture for localisation.
-		refPL, err := runImageTask(it.task, entry.Mobile, ops.NewReference(ops.Fixed()), pipeline.BugNone, frames, true)
+		refPL, err := capture(entry.Mobile, ops.NewReference(ops.Fixed()), pipeline.BugNone, frames, true)
 		if err != nil {
 			return nil, err
 		}
-		edgePL, err := runImageTask(it.task, entry.Quant, ops.NewOptimized(ops.Historical()), pipeline.BugNone, frames, true)
+		edgePL, err := capture(entry.Quant, ops.NewOptimized(ops.Historical()), pipeline.BugNone, frames, true)
 		if err != nil {
 			return nil, err
 		}
-		cells = append(cells, validateCell(it.task, "quantization", edgePL, refPL))
+		cells = append(cells, validateCell(task, "quantization", edgePL, refPL))
 	}
 
 	// --- speech ---
@@ -81,26 +70,27 @@ func Figure3(frames int) ([]Figure3Cell, error) {
 	if err != nil {
 		return nil, err
 	}
-	refLog, err := runSpeech(kws.Mobile, ops.NewReference(ops.Fixed()), pipeline.BugNone, frames)
+	refLog, err := capture(kws.Mobile, ops.NewReference(ops.Fixed()), pipeline.BugNone, frames, false)
 	if err != nil {
 		return nil, err
 	}
-	edgeLog, err := runSpeech(kws.Mobile, fixedOptimized(), pipeline.BugSpecNorm, frames)
+	edgeLog, err := capture(kws.Mobile, fixedOptimized(), pipeline.BugSpecNorm, frames, false)
 	if err != nil {
 		return nil, err
 	}
 	cells = append(cells, validateCell("speech", "specnorm", edgeLog, refLog))
 
-	// --- text (the §A case: outputs agree even though embeddings differ) ---
+	// --- text (the §A case: outputs agree even though embeddings differ);
+	// both sides run the fixed optimized kernels ---
 	nnlm, err := zoo.Get("nnlm-mini")
 	if err != nil {
 		return nil, err
 	}
-	refLog, err = runText(nnlm.Mobile, pipeline.BugNone, frames)
+	refLog, err = capture(nnlm.Mobile, fixedOptimized(), pipeline.BugNone, frames, false)
 	if err != nil {
 		return nil, err
 	}
-	edgeLog, err = runText(nnlm.Mobile, pipeline.BugLowercase, frames)
+	edgeLog, err = capture(nnlm.Mobile, fixedOptimized(), pipeline.BugLowercase, frames, false)
 	if err != nil {
 		return nil, err
 	}
@@ -113,12 +103,12 @@ func Figure3(frames int) ([]Figure3Cell, error) {
 	if err != nil {
 		return nil, err
 	}
-	stragglerLog, err := runImageTaskOnDevice(entry.Mobile, fixedOptimized(), 2)
+	stragglerLog, err := captureOnProfile(entry.Mobile, fixedOptimized(), "Emulator-x86", 2)
 	if err != nil {
 		return nil, err
 	}
 	// The reference run: the same pipeline on the target's native profile.
-	refDevLog, err := runImageTaskOnProfile(entry.Mobile, fixedOptimized(), "Pixel4", 2)
+	refDevLog, err := captureOnProfile(entry.Mobile, fixedOptimized(), "Pixel4", 2)
 	if err != nil {
 		return nil, err
 	}
@@ -158,98 +148,16 @@ func validateCell(task, issue string, edge, ref *core.Log) Figure3Cell {
 	return cell
 }
 
-func runImageTask(task string, m *graph.Model, resolver *ops.Resolver, bug pipeline.Bug, frames int, perLayer bool) (*core.Log, error) {
-	monOpts := []core.MonitorOption{core.WithCaptureMode(core.CaptureFull), core.WithPerLayer(perLayer)}
-	opts := pipeline.Options{Resolver: resolver, Bug: bug}
-	switch task {
-	case "classification":
-		// Classification replays ReplayBatch frames per interpreter invoke;
-		// the merged log is byte-identical to a one-lane replay.
-		samples := datasets.SynthImageNet(5555, frames)
-		return replay.Classification(m, opts, classificationImages(samples), sweepOptions(monOpts), nil)
-	case "detection":
-		// So does detection: the two-output head decodes per lane through
-		// interp.Batch.OutputAt.
-		samples := datasets.SynthCOCO(6666, frames)
-		images := make([]*imaging.Image, len(samples))
-		for i := range samples {
-			images[i] = samples[i].Image
-		}
-		return replay.Detection(m, opts, images, sweepOptions(monOpts), nil)
-	case "segmentation":
-		base, err := pipeline.NewSegmenter(m, opts)
-		if err != nil {
-			return nil, err
-		}
-		samples := datasets.SynthSegmentation(8888, frames)
-		return replayLog(len(samples), monOpts, func(mon *core.Monitor) (runner.ProcessFunc, error) {
-			sg, err := base.Clone(mon)
-			if err != nil {
-				return nil, err
-			}
-			return func(i int) error {
-				_, err := sg.Segment(samples[i].Image)
-				return err
-			}, nil
-		})
-	}
-	return nil, fmt.Errorf("experiments: unknown image task %q", task)
-}
-
-func runSpeech(m *graph.Model, resolver *ops.Resolver, bug pipeline.Bug, frames int) (*core.Log, error) {
-	base, err := pipeline.NewSpeechRecognizer(m, pipeline.Options{Resolver: resolver, Bug: bug})
-	if err != nil {
-		return nil, err
-	}
-	samples := datasets.SynthSpeech(7777, frames)
-	return replayLog(len(samples), []core.MonitorOption{core.WithCaptureMode(core.CaptureFull)},
-		func(mon *core.Monitor) (runner.ProcessFunc, error) {
-			sr, err := base.Clone(mon)
-			if err != nil {
-				return nil, err
-			}
-			return func(i int) error {
-				_, _, err := sr.Recognize(samples[i].Wave)
-				return err
-			}, nil
-		})
-}
-
-func runText(m *graph.Model, bug pipeline.Bug, frames int) (*core.Log, error) {
-	base, err := pipeline.NewTextClassifier(m, datasets.TokenizeText,
-		pipeline.Options{Resolver: fixedOptimized(), Bug: bug})
-	if err != nil {
-		return nil, err
-	}
-	samples := datasets.SynthIMDB(9999, frames)
-	return replayLog(len(samples), []core.MonitorOption{core.WithCaptureMode(core.CaptureFull)},
-		func(mon *core.Monitor) (runner.ProcessFunc, error) {
-			tc, err := base.Clone(mon)
-			if err != nil {
-				return nil, err
-			}
-			return func(i int) error {
-				_, _, err := tc.ClassifyText(samples[i].Text)
-				return err
-			}, nil
-		})
-}
-
-// runImageTaskOnDevice runs with the emulator latency model attached so the
-// straggler analysis has per-layer latency records.
-func runImageTaskOnDevice(m *graph.Model, resolver *ops.Resolver, frames int) (*core.Log, error) {
-	return runImageTaskOnProfile(m, resolver, "Emulator-x86", frames)
-}
-
-func runImageTaskOnProfile(m *graph.Model, resolver *ops.Resolver, profile string, frames int) (*core.Log, error) {
+// captureOnProfile replays the evaluation set with the named device's
+// latency model attached and stats-only per-layer capture, so the straggler
+// analysis has per-layer latency records.
+func captureOnProfile(m *graph.Model, resolver *ops.Resolver, profile string, frames int) (*core.Log, error) {
 	dev, err := deviceByName(profile)
 	if err != nil {
 		return nil, err
 	}
-	samples := datasets.SynthImageNet(5555, frames)
 	monOpts := []core.MonitorOption{core.WithCaptureMode(core.CaptureStats), core.WithPerLayer(true)}
-	return replay.Classification(m, pipeline.Options{Resolver: resolver, Device: dev},
-		classificationImages(samples), sweepOptions(monOpts), nil)
+	return replay.Capture(m, pipeline.Options{Resolver: resolver, Device: dev}, frames, sweepOptions(monOpts))
 }
 
 // RenderFigure3 prints the coverage matrix.

@@ -10,7 +10,6 @@ import (
 	"mlexray/internal/models"
 	"mlexray/internal/pipeline"
 	"mlexray/internal/replay"
-	"mlexray/internal/runner"
 	"mlexray/internal/tensor"
 	"mlexray/internal/zoo"
 )
@@ -96,7 +95,7 @@ func Figure4b() ([]Figure4bRow, error) {
 			// list in frame order regardless of worker scheduling.
 			byFrame := make([][]metrics.DetBox, len(samples))
 			_, err := replay.Detection(e.Mobile, pipeline.Options{Resolver: fixedOptimized(), Bug: bug}, images,
-				runner.Options{Workers: ReplayWorkers, BatchFrames: ReplayBatch},
+				sweepOptions(nil),
 				func(i int, r replay.DetectResult) error {
 					for _, d := range models.DecodeDetections(scoresOf(r.Scores), boxesOf(r.Boxes), e.Mobile.Meta.Anchors, 0.5, 0.45) {
 						byFrame[i] = append(byFrame[i], metrics.DetBox{Box: d.Box, Class: d.Class, Score: d.Score, Image: i})
@@ -155,6 +154,10 @@ type Figure4cRow struct {
 // normalization conventions) with correct and mismatched preprocessing.
 func Figure4c() ([]Figure4cRow, error) {
 	samples := datasets.SynthSpeech(7777, 96)
+	labels := make([]int, len(samples))
+	for i := range samples {
+		labels[i] = samples[i].Label
+	}
 	var rows []Figure4cRow
 	for _, name := range []string{"kws-mini-a", "kws-mini-b"} {
 		e, err := zoo.Get(name)
@@ -162,28 +165,20 @@ func Figure4c() ([]Figure4cRow, error) {
 			return nil, err
 		}
 		eval := func(bug pipeline.Bug) (float64, error) {
-			base, err := pipeline.NewSpeechRecognizer(e.Mobile, pipeline.Options{Resolver: fixedOptimized(), Bug: bug})
+			// Stats-only capture: each frame's prediction is the argmax of
+			// its model/output record, which every capture mode keeps whole.
+			l, err := replay.Capture(e.Mobile, pipeline.Options{Resolver: fixedOptimized(), Bug: bug}, len(samples),
+				sweepOptions([]core.MonitorOption{}))
 			if err != nil {
 				return 0, err
 			}
 			preds := make([]int, len(samples))
-			labels := make([]int, len(samples))
-			_, err = replayLog(len(samples), nil, func(*core.Monitor) (runner.ProcessFunc, error) {
-				sr, err := base.Clone(nil) // accuracy eval needs no telemetry
+			for _, r := range l.ByKey(core.KeyModelOutput) {
+				out, err := r.DecodeTensor()
 				if err != nil {
-					return nil, err
+					return 0, err
 				}
-				return func(i int) error {
-					p, _, err := sr.Recognize(samples[i].Wave)
-					if err != nil {
-						return err
-					}
-					preds[i], labels[i] = p, samples[i].Label
-					return nil
-				}, nil
-			})
-			if err != nil {
-				return 0, err
+				preds[r.Frame-1] = out.ArgMax()
 			}
 			return metrics.Top1(preds, labels)
 		}

@@ -5,11 +5,8 @@ import (
 	"io"
 
 	"mlexray/internal/core"
-	"mlexray/internal/datasets"
-	"mlexray/internal/graph"
 	"mlexray/internal/ops"
 	"mlexray/internal/pipeline"
-	"mlexray/internal/runner"
 	"mlexray/internal/zoo"
 )
 
@@ -40,12 +37,12 @@ func Figure6(frames int) ([]Figure6Series, error) {
 		if err != nil {
 			return nil, err
 		}
-		refLog, err := perLayerLog(e.Mobile, ops.NewReference(ops.Fixed()), frames)
+		refLog, err := capture(e.Mobile, ops.NewReference(ops.Fixed()), pipeline.BugNone, frames, true)
 		if err != nil {
 			return nil, err
 		}
 		for _, resolver := range []*ops.Resolver{ops.NewOptimized(ops.Historical()), ops.NewReference(ops.Historical())} {
-			edgeLog, err := perLayerLog(e.Quant, resolver, frames)
+			edgeLog, err := capture(e.Quant, resolver, pipeline.BugNone, frames, true)
 			if err != nil {
 				return nil, err
 			}
@@ -62,27 +59,6 @@ func Figure6(frames int) ([]Figure6Series, error) {
 		}
 	}
 	return out, nil
-}
-
-// perLayerLog runs the classification pipeline over the evaluation set with
-// full per-layer capture, sharded across the replay pool.
-func perLayerLog(m *graph.Model, resolver *ops.Resolver, frames int) (*core.Log, error) {
-	base, err := pipeline.NewClassifier(m, pipeline.Options{Resolver: resolver})
-	if err != nil {
-		return nil, err
-	}
-	samples := datasets.SynthImageNet(5555, frames)
-	return replayLog(len(samples), []core.MonitorOption{core.WithCaptureMode(core.CaptureFull), core.WithPerLayer(true)},
-		func(mon *core.Monitor) (runner.ProcessFunc, error) {
-			cl, err := base.Clone(mon)
-			if err != nil {
-				return nil, err
-			}
-			return func(i int) error {
-				_, _, err := cl.Classify(samples[i].Image)
-				return err
-			}, nil
-		})
 }
 
 // RenderFigure6 prints each series as (layer, op, nRMSE) rows with the

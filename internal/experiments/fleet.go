@@ -56,11 +56,10 @@ func Fleet(frames int, task string) ([]FleetRow, error) {
 		frames = 24
 	}
 	const bugged = 1 // the Pixel 3 slot
-	monOpts := []core.MonitorOption{core.WithCaptureMode(core.CaptureFull), core.WithPerLayer(true)}
 	fleet := &runner.Fleet{
 		Devices:        fleetDevices(),
 		Policy:         runner.RoundRobin{},
-		MonitorOptions: monOpts,
+		MonitorOptions: []core.MonitorOption{core.WithCaptureMode(core.CaptureFull), core.WithPerLayer(true)},
 	}
 	perDevice := func(dev int, spec runner.DeviceSpec, o *pipeline.Options) {
 		if dev == bugged {
@@ -68,42 +67,39 @@ func Fleet(frames int, task string) ([]FleetRow, error) {
 		}
 	}
 	edgeOpts := pipeline.Options{Resolver: fixedOptimized()}
-	refPopts := pipeline.Options{Resolver: ops.NewReference(ops.Fixed())}
-	refRopts := runner.Options{Workers: ReplayWorkers, BatchFrames: ReplayBatch, MonitorOptions: monOpts}
 
-	var res *runner.FleetResult
-	var ref *core.Log
+	var model string
 	switch task {
 	case "", "classification":
-		entry, err := zoo.Get("mobilenetv2-mini")
-		if err != nil {
-			return nil, err
-		}
-		images := classificationImages(datasets.SynthImageNet(5555, frames))
-		if res, err = replay.FleetClassification(entry.Mobile, edgeOpts, images, fleet, perDevice); err != nil {
-			return nil, err
-		}
-		if ref, err = replay.Classification(entry.Mobile, refPopts, images, refRopts, nil); err != nil {
-			return nil, err
-		}
+		model = "mobilenetv2-mini"
 	case "detection":
-		entry, err := zoo.Get("ssd-mini")
-		if err != nil {
-			return nil, err
-		}
+		model = "ssd-mini"
+	default:
+		return nil, fmt.Errorf("experiments: unknown fleet task %q (want classification or detection)", task)
+	}
+	entry, err := zoo.Get(model)
+	if err != nil {
+		return nil, err
+	}
+	var res *runner.FleetResult
+	if entry.Mobile.Meta.Task == "detection" {
 		samples := datasets.SynthCOCO(6666, frames)
 		images := make([]*imaging.Image, len(samples))
 		for i := range samples {
 			images[i] = samples[i].Image
 		}
-		if res, err = replay.FleetDetection(entry.Mobile, edgeOpts, images, fleet, perDevice); err != nil {
-			return nil, err
-		}
-		if ref, err = replay.Detection(entry.Mobile, refPopts, images, refRopts, nil); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("experiments: unknown fleet task %q (want classification or detection)", task)
+		res, err = replay.FleetDetection(entry.Mobile, edgeOpts, images, fleet, perDevice)
+	} else {
+		images := replay.Images(datasets.SynthImageNet(5555, frames))
+		res, err = replay.FleetClassification(entry.Mobile, edgeOpts, images, fleet, perDevice)
+	}
+	if err != nil {
+		return nil, err
+	}
+	// The reference replays the same evaluation set through replay.Capture.
+	ref, err := capture(entry.Mobile, ops.NewReference(ops.Fixed()), pipeline.BugNone, frames, true)
+	if err != nil {
+		return nil, err
 	}
 
 	shards := make([]core.DeviceShardLog, len(fleet.Devices))

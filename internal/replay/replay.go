@@ -1,10 +1,15 @@
 // Package replay binds the instrumented pipelines to the parallel replay
-// engine: one call replays a dataset through per-worker batched pipeline
+// engine and is the single entry point the CLIs (edgerun, refrun, exray)
+// and the experiment sweeps share for dataset replays. Capture owns the
+// task → evaluation-set mapping — which samples a model of each task
+// replays; exray and the sweeps capture both sides of a comparison through
+// it, so an edge log and a reference log always cover the same frames.
+//
+// Classification and detection replay through per-worker batched pipeline
 // replicas — B = max(1, BatchFrames) frames per interpreter invoke, with the
-// requested kernel backend at every B — and returns the deterministically
-// merged telemetry log. The experiment sweeps and the CLIs (edgerun, refrun, exray)
-// all drive dataset replays through this package, so batching and worker
-// policy live in exactly one place.
+// requested kernel backend at every B; segmentation, speech and text replay
+// one frame per invoke. Either way the merged telemetry log is
+// deterministic, so batching and worker policy live in exactly one place.
 package replay
 
 import (
@@ -191,6 +196,77 @@ func FleetClassification(m *graph.Model, popts pipeline.Options, images []*imagi
 	return fleet.ReplayBatched(len(images), func(dev int, spec runner.DeviceSpec, mon *core.Monitor) (runner.ProcessBatchFunc, error) {
 		return classifyWorker(m, deviceOptions(popts, fleet, dev, spec, mon, perDevice), spec.BatchFrames, images, nil)
 	})
+}
+
+// Capture replays the first frames samples of the model task's evaluation
+// set and returns the merged telemetry log. Each task has one evaluation
+// set: SynthImageNet seed 5555 (classification), SynthCOCO 6666
+// (detection), SynthSegmentation 8888 (segmentation), SynthSpeech 7777
+// (speech) and SynthIMDB 9999 (text, tokenized by datasets.TokenizeText).
+// Classification and detection run Classification / Detection;
+// segmentation, speech and text run one frame per invoke on per-worker
+// pipelines. As with Classification, nil ropts.MonitorOptions replays
+// uninstrumented (the returned log is empty) and popts.Monitor is ignored.
+func Capture(m *graph.Model, popts pipeline.Options, frames int, ropts runner.Options) (*core.Log, error) {
+	switch m.Meta.Task {
+	case "classification":
+		return Classification(m, popts, Images(datasets.SynthImageNet(5555, frames)), ropts, nil)
+	case "detection":
+		samples := datasets.SynthCOCO(6666, frames)
+		images := make([]*imaging.Image, len(samples))
+		for i := range samples {
+			images[i] = samples[i].Image
+		}
+		return Detection(m, popts, images, ropts, nil)
+	case "segmentation":
+		samples := datasets.SynthSegmentation(8888, frames)
+		return perFrame(len(samples), popts, ropts, func(o pipeline.Options) (runner.ProcessFunc, error) {
+			sg, err := pipeline.NewSegmenter(m, o)
+			if err != nil {
+				return nil, err
+			}
+			return func(i int) error {
+				_, err := sg.Segment(samples[i].Image)
+				return err
+			}, nil
+		})
+	case "speech":
+		samples := datasets.SynthSpeech(7777, frames)
+		return perFrame(len(samples), popts, ropts, func(o pipeline.Options) (runner.ProcessFunc, error) {
+			sr, err := pipeline.NewSpeechRecognizer(m, o)
+			if err != nil {
+				return nil, err
+			}
+			return func(i int) error {
+				_, _, err := sr.Recognize(samples[i].Wave)
+				return err
+			}, nil
+		})
+	case "text":
+		samples := datasets.SynthIMDB(9999, frames)
+		return perFrame(len(samples), popts, ropts, func(o pipeline.Options) (runner.ProcessFunc, error) {
+			tc, err := pipeline.NewTextClassifier(m, datasets.TokenizeText, o)
+			if err != nil {
+				return nil, err
+			}
+			return func(i int) error {
+				_, _, err := tc.ClassifyText(samples[i].Text)
+				return err
+			}, nil
+		})
+	}
+	return nil, fmt.Errorf("replay: model %q has task %q, which has no evaluation set", m.Name, m.Meta.Task)
+}
+
+// perFrame replays frames through one-lane pipelines: build makes one
+// worker's pipeline from its options (its monitor shard, or none when the
+// replay is uninstrumented) and returns the per-frame body.
+func perFrame(frames int, popts pipeline.Options, ropts runner.Options,
+	build func(o pipeline.Options) (runner.ProcessFunc, error)) (*core.Log, error) {
+	instrumented := ropts.MonitorOptions != nil
+	return runner.Replay(frames, func(mon *core.Monitor) (runner.ProcessFunc, error) {
+		return build(workerOptions(popts, instrumented, mon))
+	}, ropts)
 }
 
 // deviceOptions derives one fleet device worker's pipeline options: the

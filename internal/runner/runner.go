@@ -24,11 +24,11 @@
 //   - Execution batching (ReplayBatched + a batch-aware worker): the worker
 //     runs the whole range through one batched interpreter invoke,
 //     amortizing per-node dispatch across B frames. internal/replay runs
-//     every dataset replay this way, on pipeline.Classifier / Detector
-//     replicas of B = max(1, BatchFrames) lanes planned with the requested
-//     kernel backend. Per-frame record groups still come out identical to a
-//     one-lane run — the batched interpreter replays per-frame hook events
-//     from sliced output views.
+//     classification and detection replays this way, on
+//     pipeline.Classifier / Detector replicas of B = max(1, BatchFrames)
+//     lanes planned with the requested kernel backend. Per-frame record
+//     groups still come out identical to a one-lane run — the batched
+//     interpreter replays per-frame hook events from sliced output views.
 //
 // Workers drain their monitor shard after every range, so shard buffers stay
 // one range deep; with a FrameSink attached (and KeepLog false) the collector
